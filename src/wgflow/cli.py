@@ -31,17 +31,19 @@ from .analytic import (
     metric_derivative_estimate,
     weak_residual,
 )
-from .jko import ConvergenceFailure, FlowTrajectory, JkoConfig, energy_identity_residual, evi_residual, run_flow
+from .jko import (
+    ConvergenceFailure,
+    FlowTrajectory,
+    JkoConfig,
+    _trajectory,
+    energy_identity_residual,
+    evi_residual,
+    run_flow,
+)
 from .measures import DomainError, Measure1D, to_quantile_grid
 from .particles import ParticleState, integrate, quantile_trajectory
-from .potential import Potential, convexity_certificate, interaction_energy
-from .transport import (
-    DiscreteInstance,
-    solve_dual,
-    solve_primal,
-    w2_exact_discrete,
-    w2_quantile,
-)
+from .potential import Potential, convexity_certificate
+from .transport import DiscreteInstance, solve_dual, solve_primal, w2_exact_discrete
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,19 +78,6 @@ def _error_record(kind: str, code: int, **extra) -> int:
     record.update(extra)
     print(json.dumps(record), file=sys.stderr)
     return code
-
-
-def _resolve_threads() -> int:
-    raw = os.environ.get("WGFLOW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("WGFLOW_THREADS", f"not an integer: {raw!r}")
-    if value < 1:
-        raise ConfigError("WGFLOW_THREADS", "must be at least 1")
-    return value
 
 
 @dataclass
@@ -158,8 +147,11 @@ class ExperimentConfig:
                     "potential", "growth exceeds quadratic; jko method refused"
                 )
             try:
-                jko_cfg = self.jko_config()
                 cert = convexity_certificate(self.potential)
+            except DomainError as exc:
+                raise ConfigError("potential", str(exc))
+            try:
+                jko_cfg = self.jko_config()
                 jko_cfg.validate_step_bound(cert)
                 jko_cfg.step_count()
             except DomainError as exc:
@@ -248,12 +240,7 @@ def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
     steps = max(1, round(cfg.t_end / cfg.tau))
     times = np.arange(steps + 1) * (cfg.t_end / steps)
     states = [exact_grid(sol, float(t), cfg.n) for t in times]
-    energies = np.array([interaction_energy(pot, g) for g in states])
-    costs = []
-    for k in range(steps):
-        span = times[k + 1] - times[k]
-        costs.append(w2_quantile(states[k], states[k + 1]) ** 2 / (2.0 * span))
-    return FlowTrajectory(times, tuple(states), energies, np.array(costs))
+    return _trajectory(pot, times, states)
 
 
 def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
@@ -278,7 +265,6 @@ def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None, quiet: bool = False) -> int:
     try:
-        threads = _resolve_threads()
         with open(config_path) as fh:
             raw = json.load(fh)
         cfg = ExperimentConfig.from_json_dict(raw)
@@ -328,7 +314,6 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
     manifest = {
         "config": cfg.resolved_dict(),
         "seed": seed,
-        "threads": threads,
         "version": __version__,
         "outputs": sorted(
             name

@@ -21,10 +21,9 @@ from .potential import (
     Potential,
     convexity_certificate,
     curvature_bound,
-    cusp_rank_weights,
-    deriv_smooth,
     interaction_energy,
-    smooth_part,
+    pair_energy,
+    pair_force,
 )
 from .transport import w2_quantile
 
@@ -118,6 +117,18 @@ class FlowTrajectory:
         return self.states[0].n
 
 
+def _trajectory(W: Potential, times: np.ndarray, states: list[QuantileGrid]) -> FlowTrajectory:
+    """FlowTrajectory of finished states: their energies, and step costs
+    ``W2^2 / (2 span)`` that are 0 over a span of length 0."""
+    spans = np.diff(times)
+    costs = [
+        w2_quantile(a, b) ** 2 / (2.0 * span) if span > 0.0 else 0.0
+        for a, b, span in zip(states, states[1:], spans)
+    ]
+    energies = [interaction_energy(W, g) for g in states]
+    return FlowTrajectory(times, tuple(states), np.array(energies), np.array(costs))
+
+
 def _pava(y: np.ndarray) -> np.ndarray:
     """L2 projection onto nondecreasing sequences (pool adjacent violators)."""
     means: list[float] = []
@@ -140,28 +151,6 @@ def isotonic_project(y) -> QuantileGrid:
     if np.all(np.diff(arr) >= 0.0):
         return QuantileGrid(arr)
     return QuantileGrid(_pava(arr))
-
-
-def _cone_energy_parts(W: Potential, n: int):
-    """Gradient/value callables for the inner objective's energy term."""
-    lin = W.eta * cusp_rank_weights(n) / n**2
-    smooth_active = W.beta != 0.0 or len(W.terms) > 0
-
-    def value(x: np.ndarray) -> float:
-        e = float(lin @ x)
-        if smooth_active:
-            d = x[:, None] - x[None, :]
-            e += float(np.sum(smooth_part(W, d))) / (2.0 * n**2)
-        return e
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        g = lin.copy()
-        if smooth_active:
-            d = x[:, None] - x[None, :]
-            g = g + np.sum(deriv_smooth(W, d), axis=1) / n**2
-        return g
-
-    return value, grad
 
 
 def jko_step(
@@ -191,15 +180,16 @@ def jko_step(
 
     tau = cfg.tau
     x_prev = prev.values
-    energy_value, energy_grad = _cone_energy_parts(W, n)
+    m = np.full(n, 1.0 / n)
 
-    # objective scaled by n: G(x) = ||x - x_prev||^2 / (2 tau) + n E(x)
+    # objective scaled by n: G(x) = ||x - x_prev||^2 / (2 tau) + n E(x); the
+    # cone gradient of n E is n * m * force = force
     def gobj(x):
         d = x - x_prev
-        return 0.5 * float(d @ d) / tau + n * energy_value(x)
+        return 0.5 * float(d @ d) / tau + n * pair_energy(W, x, m)
 
     def ggrad(x):
-        return (x - x_prev) / tau + n * energy_grad(x)
+        return (x - x_prev) / tau + pair_force(W, x, m, cone=True)
 
     alpha0 = 1.0 / (1.0 / tau + 2.0 * curvature_bound(W, radius))
     x = x_prev.copy()
@@ -237,22 +227,14 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     cert = convexity_certificate(W)
     cfg.validate_step_bound(cert)
     steps = cfg.step_count()
-    g = to_quantile_grid(init, cfg.n)
-    states = [g]
-    energies = [interaction_energy(W, g)]
-    costs = []
+    states = [to_quantile_grid(init, cfg.n)]
     for k in range(steps):
         try:
-            g_next = jko_step(W, g, cfg, cert)
+            states.append(jko_step(W, states[-1], cfg, cert))
         except ConvergenceFailure as failure:
             failure.step_index = k
             raise
-        costs.append(w2_quantile(g, g_next) ** 2 / (2.0 * cfg.tau))
-        energies.append(interaction_energy(W, g_next))
-        states.append(g_next)
-        g = g_next
-    times = np.arange(steps + 1) * cfg.tau
-    return FlowTrajectory(times, tuple(states), np.array(energies), np.array(costs))
+    return _trajectory(W, np.arange(steps + 1) * cfg.tau, states)
 
 
 def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.ndarray:

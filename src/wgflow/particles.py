@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jko import FlowTrajectory
+from .jko import FlowTrajectory, _trajectory
 from .measures import DomainError, Measure1D, to_quantile_grid
-from .potential import Potential, deriv_smooth, evaluate
-from .potential import interaction_energy as grid_interaction_energy
+from .potential import Potential, pair_energy, pair_force
 
 MASS_TOL = 1e-12
 _EVENT_TOL = 1e-13
@@ -62,17 +61,12 @@ def ode_rhs(W: Potential, st: ParticleState) -> np.ndarray:
     Coincident particles are excluded, which makes a fully collapsed state
     stationary.
     """
-    x = st.positions
-    d = x[:, None] - x[None, :]
-    # sign(0) = 0 and the smooth derivative vanishes at 0: ties drop out.
-    force = (deriv_smooth(W, d) + W.eta * np.sign(d)) @ st.masses
-    return -force
+    return -pair_force(W, st.positions, st.masses, cone=False)
 
 
 def interaction_energy(W: Potential, st: ParticleState) -> float:
     """(1/2) sum_{i,j} m_i m_j W(x_i - x_j)."""
-    d = st.positions[:, None] - st.positions[None, :]
-    return 0.5 * float(st.masses @ evaluate(W, d) @ st.masses)
+    return pair_energy(W, st.positions, st.masses)
 
 
 def _merge_group(x, m, lo, hi):
@@ -166,16 +160,5 @@ def quantile_trajectory(W: Potential, history: list[ParticleState], n: int) -> F
     Useful for comparing particle runs with quantile flows; step costs use
     the actual substep lengths, which are nonuniform around collision events.
     """
-    from .transport import w2_quantile
-
     states = [to_quantile_grid(st.as_measure(), n) for st in history]
-    times = np.array([st.time for st in history])
-    energies = np.array([grid_interaction_energy(W, g) for g in states])
-    costs = []
-    for k in range(len(states) - 1):
-        span = times[k + 1] - times[k]
-        if span <= 0.0:
-            costs.append(0.0)
-        else:
-            costs.append(w2_quantile(states[k], states[k + 1]) ** 2 / (2.0 * span))
-    return FlowTrajectory(times, tuple(states), energies, np.array(costs))
+    return _trajectory(W, np.array([st.time for st in history]), states)

@@ -2,6 +2,9 @@
 their interaction energy on quantile grids, and the two force fields the
 dynamics use: the tie-excluding pointwise field and the index-ordered
 subgradient of the energy on the monotone cone.
+
+Every pairwise sum goes through one kernel over sorted weighted points,
+``pair_energy`` and ``pair_force``.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class Potential:
     @property
     def jko_eligible(self) -> bool:
         return all(p <= 2.0 for _, p in self.terms)
-
-    @property
-    def growth_exceeds_quadratic(self) -> bool:
-        return not self.jko_eligible
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -89,21 +88,69 @@ def deriv_smooth(W: Potential, x):
     return out if np.ndim(x) else float(out)
 
 
-def interaction_energy(W: Potential, g: QuantileGrid) -> float:
-    """Grid interaction energy (1/(2 n^2)) sum_{i,j} W(X_i - X_j).
+# Largest number of pair differences the dense power-term sums hold at once.
+PAIR_BLOCK = 1 << 18
 
-    Diagonal terms vanish because W(0) = 0.
+
+def _pair_blocks(x: np.ndarray):
+    """Row blocks ``(rows, x[rows, None] - x[None, :])`` of at most
+    ``PAIR_BLOCK`` elements (one row when a row alone is longer)."""
+    step = max(1, PAIR_BLOCK // x.size)
+    for lo in range(0, x.size, step):
+        rows = slice(lo, lo + step)
+        yield rows, x[rows, None] - x[None, :]
+
+
+def _cusp_signs(x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
+    """Entry i is sum_j m_j sign(x_i - x_j): the mass below point i minus the
+    mass above it, from one cumulative sum.  With ``cone`` the sign of a tie
+    is the index order; otherwise tied points are excluded."""
+    c = np.concatenate(([0.0], np.cumsum(m)))
+    if cone:
+        below, upto = c[:-1], c[1:]
+    else:
+        below = c[np.searchsorted(x, x, side="left")]
+        upto = c[np.searchsorted(x, x, side="right")]
+    return below + upto - c[-1]
+
+
+def pair_energy(W: Potential, x: np.ndarray, m: np.ndarray) -> float:
+    """(1/2) sum_{i,j} m_i m_j W(x_i - x_j) for sorted points ``x`` with
+    weights ``m`` summing to 1.
+
+    The cusp is the linear form eta * sum_i m_i x_i s_i in the ordered values
+    (s from ``_cusp_signs``), the quadratic is beta/2 times the variance;
+    both are O(n log n).  Only power terms are summed pair by pair, in blocks.
     """
-    v = g.values
-    diff = v[:, None] - v[None, :]
-    return float(np.sum(evaluate(W, diff)) / (2.0 * g.n**2))
+    xc = x - m @ x
+    e = W.eta * float((m * xc) @ _cusp_signs(x, m, cone=True))
+    e += 0.5 * W.beta * float(m @ xc**2)
+    if W.terms:
+        powers = Potential(terms=W.terms)
+        for rows, d in _pair_blocks(x):
+            e += 0.5 * float(m[rows] @ smooth_part(powers, d) @ m)
+    return e
 
 
-def _force_row(W: Potential, values: np.ndarray, i: int) -> float:
-    d = values[i] - values
-    # sign(0) = 0 and the smooth derivative vanishes at 0, so tied values and
-    # the self term drop out without masking.
-    return float(np.sum(deriv_smooth(W, d) + W.eta * np.sign(d)))
+def pair_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
+    """Entry i is sum_j m_j W'(x_i - x_j) for sorted points ``x`` with weights
+    ``m`` summing to 1.
+
+    W' is odd with a jump at 0 from the cusp.  With ``cone`` a tied pair takes
+    the cusp sign from the index order, which makes ``m * force`` the energy's
+    gradient on the monotone cone; otherwise tied pairs are excluded, which is
+    the pointwise velocity field.  The smooth terms vanish on ties either way.
+    """
+    f = W.eta * _cusp_signs(x, m, cone) + W.beta * (x - m @ x)
+    if W.terms:
+        powers = Potential(terms=W.terms)
+        f += np.concatenate([deriv_smooth(powers, d) @ m for _, d in _pair_blocks(x)])
+    return f
+
+
+def interaction_energy(W: Potential, g: QuantileGrid) -> float:
+    """Grid interaction energy (1/(2 n^2)) sum_{i,j} W(X_i - X_j)."""
+    return pair_energy(W, g.values, np.full(g.n, 1.0 / g.n))
 
 
 def velocity_field(W: Potential, g: QuantileGrid, i: int) -> float:
@@ -115,15 +162,12 @@ def velocity_field(W: Potential, g: QuantileGrid, i: int) -> float:
     n = g.n
     if not 0 <= i < n:
         raise DomainError(f"index {i} outside 0..{n - 1}")
-    return -_force_row(W, g.values, i) / n
+    return float(velocity_profile(W, g)[i])
 
 
 def velocity_profile(W: Potential, g: QuantileGrid) -> np.ndarray:
     """velocity_field evaluated at every grid index."""
-    v = g.values
-    diff = v[:, None] - v[None, :]
-    force = np.sum(deriv_smooth(W, diff) + W.eta * np.sign(diff), axis=1)
-    return -force / g.n
+    return -pair_force(W, g.values, np.full(g.n, 1.0 / g.n), cone=False)
 
 
 def energy_subgradient(W: Potential, g: QuantileGrid) -> np.ndarray:
@@ -135,17 +179,7 @@ def energy_subgradient(W: Potential, g: QuantileGrid) -> np.ndarray:
     rather than the (possibly tied) values.  This is the field that drives
     the implicit scheme off atomic states.
     """
-    v = g.values
-    n = g.n
-    diff = v[:, None] - v[None, :]
-    smooth = np.sum(deriv_smooth(W, diff), axis=1)
-    ranks = 2.0 * np.arange(n) + 1.0 - n
-    return (smooth + W.eta * ranks) / n**2
-
-
-def cusp_rank_weights(n: int) -> np.ndarray:
-    """The integer weights 2(i+1) - n - 1 of the cone-linearized cusp term."""
-    return 2.0 * np.arange(n) + 1.0 - n
+    return pair_force(W, g.values, np.full(g.n, 1.0 / g.n), cone=True) / g.n
 
 
 def curvature_bound(W: Potential, radius: float) -> float:
@@ -185,12 +219,19 @@ def convexity_certificate(W: Potential, radius: float = 10.0) -> ConvexityCertif
 
     lambda_prime absorbs a negative cusp; lambda_second absorbs negative
     quadratic curvature from beta and from negative-coefficient power terms
-    evaluated at the working radius.
+    evaluated at the working radius.  A negative term with ``1 < p < 2`` is
+    refused: its curvature ``c p (p-1) |x|^(p-2)`` is unbounded below at 0,
+    so no finite constants exist.  The sampled midpoint check runs after.
     """
     r = max(float(radius), 1.0)
     lam_prime = max(0.0, -W.eta)
     lam_second = max(0.0, -W.beta)
     for c, p in W.terms:
+        if c < 0.0 and p < 2.0:
+            raise DomainError(
+                f"term {c}*|x|^{p}: a negative power below 2 is concave without "
+                "bound at the origin; no convexity certificate exists"
+            )
         if c < 0.0:
             lam_second += -c * p * (p - 1.0) * r ** (p - 2.0)
     cert = ConvexityCertificate(lam_prime, lam_second, r)

@@ -124,6 +124,29 @@ def central_difference(f, x, h):
     return g
 
 
+# --- dense pairwise sums ----------------------------------------------------
+
+
+def dense_pair_sums(eta, beta, terms, x, m):
+    """Pair energy, cone force and tie-excluding force of
+    ``W = eta|d| + beta d^2/2 + sum c|d|^p`` from full n x n difference
+    arrays, with W and W' written out term by term.  The cone force takes
+    the cusp sign from the index order, the other from the sign of d."""
+    x = np.asarray(x, dtype=float)
+    m = np.asarray(m, dtype=float)
+    d = x[:, None] - x[None, :]
+    ad = np.abs(d)
+    w = eta * ad + 0.5 * beta * d * d
+    dw_smooth = beta * d
+    for c, p in terms:
+        w = w + c * ad**p
+        dw_smooth = dw_smooth + c * p * ad ** (p - 1.0) * np.sign(d)
+    idx = np.arange(x.size)
+    cone = (dw_smooth + eta * np.sign(idx[:, None] - idx[None, :])) @ m
+    excl = (dw_smooth + eta * np.sign(d)) @ m
+    return float(0.5 * m @ w @ m), cone, excl
+
+
 # --- random inputs -----------------------------------------------------------
 
 

@@ -65,6 +65,17 @@ def test_run_rejects_step_bound_violation(tmp_path, capsys):
     assert "12" in record["message"]
 
 
+def test_run_refuses_uncertifiable_potential(tmp_path, capsys):
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.01)
+    cfg["potential"] = {"eta": 0.0, "beta": 0.5, "terms": [[-0.1, 1.5]]}
+    config_path = _write(tmp_path / "config.json", cfg)
+    code = main(["run", "--config", config_path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["field"] == "potential"
+
+
 def test_run_rejects_bad_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
@@ -217,13 +228,3 @@ def test_ot_unbalanced_rejected(tmp_path, capsys):
     assert main(["ot", _write(tmp_path / "u.json", payload)]) == 2
     capsys.readouterr()
 
-
-def test_threads_env_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("WGFLOW_THREADS", "zero")
-    config_path = _write(tmp_path / "c.json", dict(REPULSIVE_DIRAC_RUN))
-    assert main(["run", "--config", config_path, "--out", str(tmp_path / "o")]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("WGFLOW_THREADS", "2")
-    assert main(["run", "--config", config_path, "--out", str(tmp_path / "o2"), "--quiet"]) == 0
-    manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
-    assert manifest["threads"] == 2

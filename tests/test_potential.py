@@ -1,7 +1,13 @@
 """Potential evaluation, energies, force fields, and the cone calculus."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wgflow.potential
 
 from wgflow import (
     DomainError,
@@ -17,7 +23,8 @@ from wgflow import (
     velocity_field,
     velocity_profile,
 )
-from oracles import central_difference
+from oracles import central_difference, dense_pair_sums
+from wgflow.potential import pair_energy, pair_force
 
 CUSP_REPULSIVE = Potential(eta=-1.0)
 CUSP_ATTRACTIVE = Potential(eta=1.0)
@@ -56,7 +63,6 @@ def test_jko_eligibility_flag():
     assert QUADRATIC.jko_eligible
     assert Potential(terms=((1.0, 2.0),)).jko_eligible
     assert not CUBIC.jko_eligible
-    assert CUBIC.growth_exceeds_quadratic
 
 
 def test_deriv_smooth_examples():
@@ -195,6 +201,56 @@ def test_certificate_verification_rejects_bad_compensation():
     # a negative sub-quadratic power cannot be compensated at the origin
     with pytest.raises(DomainError):
         convexity_certificate(Potential(terms=((-1.0, 1.5),)))
+
+
+def test_certificate_refuses_negative_subquadratic_power():
+    # c p (p-1) |x|^(p-2) is unbounded below at 0: no finite lambda'' exists,
+    # although the sampled midpoint check alone passes this potential
+    with pytest.raises(DomainError, match="no convexity certificate"):
+        convexity_certificate(Potential(beta=0.5, terms=((-0.1, 1.5),)))
+
+
+_coef = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _pair_case(draw):
+    """Sorted dyadic points (exact under dyadic shifts) with forced ties,
+    positive weights summing to 1, and a potential with p in (1, 2]."""
+    levels = sorted(draw(st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True)))
+    reps = draw(st.lists(st.integers(1, 4), min_size=len(levels), max_size=len(levels)))
+    h = 2.0 ** -draw(st.integers(0, 8))
+    offset = draw(st.integers(-16000, 16000)) / 16.0
+    x = offset + h * np.repeat(np.array(levels, dtype=float), reps)
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=x.size, max_size=x.size)))
+    power = st.tuples(_coef, st.floats(1.0, 2.0, exclude_min=True))
+    terms = tuple(draw(st.lists(power, max_size=2)))
+    W = Potential(eta=draw(_coef), beta=draw(_coef), terms=terms)
+    shift = draw(st.integers(-16000, 16000)) / 16.0
+    return W, x, raw / raw.sum(), shift, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_case())
+def test_pair_kernel_matches_dense_reference(case):
+    W, x, m, shift, block = case
+    # a small block budget sends the power terms through the multi-block path
+    with mock.patch.object(wgflow.potential, "PAIR_BLOCK", block):
+        energy = pair_energy(W, x, m)
+        forces = [pair_force(W, x, m, cone=c) for c in (True, False)]
+        shifted = [pair_energy(W, x + shift, m)]
+        shifted += [pair_force(W, x + shift, m, cone=c) for c in (True, False)]
+    ref_energy, ref_cone, ref_excl = dense_pair_sums(W.eta, W.beta, W.terms, x, m)
+    scale = 1.0 + abs(W.eta) + abs(W.beta) + sum(abs(c) for c, _ in W.terms)
+    scale *= 1.0 + (x[-1] - x[0]) ** 2
+    tol = 1e-11 * scale
+    assert abs(energy - ref_energy) <= tol
+    assert abs(shifted[0] - energy) <= tol
+    for force, ref, moved in zip(forces, (ref_cone, ref_excl), shifted[1:]):
+        assert np.max(np.abs(force - ref)) <= tol
+        assert np.max(np.abs(moved - force)) <= tol
+        # equal and opposite pair forces: the centre of mass does not move
+        assert abs(m @ force) <= tol
 
 
 def test_potential_json_round_trip():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jko import FlowTrajectory
-from .measures import DomainError, Measure1D, QuantileGrid, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, quantile_pieces
 from .potential import Potential, velocity_profile
 from .transport import w2_quantile
 
@@ -43,21 +43,21 @@ class ExactSolution:
 # ---------------------------------------------------------------------------
 # exact isotonic projection of a piecewise affine function on (0, 1)
 #
-# Elements are ["raw", s0, s1, a, b] with value a + b*s and b >= 0, or
-# ["pool", s0, s1, value] for a flat stretch produced by pooling.  Decreasing
-# input pieces enter as pools; violating junctions are repaired right to
-# left.  Pools absorb flat pieces wholesale and split rising pieces at the
-# point where the pooled mean meets the function value; a pool flanked by
-# rising pieces on both sides is resolved jointly, since fitting one side at
-# a time need not terminate.
+# Elements are quantile pieces [s0, s1, a, b] with value a + b*s; a pool, the
+# flat stretch produced by pooling, is a piece with b = 0 and a its pooled
+# value.  Decreasing input pieces enter as pools; violating junctions are
+# repaired right to left.  Pools absorb flat pieces wholesale and split
+# rising pieces at the point where the pooled mean meets the function value;
+# a pool flanked by rising pieces on both sides is resolved jointly, since
+# fitting one side at a time need not terminate.
 
 
 def _start_value(el):
-    return el[3] + el[4] * el[1] if el[0] == "raw" else el[3]
+    return el[2] + el[3] * el[0]
 
 
 def _end_value(el):
-    return el[3] + el[4] * el[2] if el[0] == "raw" else el[3]
+    return el[2] + el[3] * el[1]
 
 
 def _piece_mean(s0, s1, a, b):
@@ -69,67 +69,39 @@ def _violates(left, right) -> bool:
     return lo < hi - 1e-12 * max(1.0, abs(lo), abs(hi))
 
 
-def _merge_pools(stack, k):
+def _pool(stack, k):
+    """Replace stack[k] and stack[k+1] by one pool at their width-weighted mean."""
     left, right = stack[k], stack[k + 1]
-    w1 = left[2] - left[1]
-    w2 = right[2] - right[1]
-    stack[k : k + 2] = [
-        ["pool", left[1], right[2], (w1 * left[3] + w2 * right[3]) / (w1 + w2)]
-    ]
-
-
-def _absorb_right(stack, k):
-    """Pool at k swallows the whole element at k+1."""
-    pool, el = stack[k], stack[k + 1]
-    wp = pool[2] - pool[1]
-    width = el[2] - el[1]
-    mean = el[3] if el[0] == "pool" else _piece_mean(el[1], el[2], el[3], el[4])
-    stack[k : k + 2] = [
-        ["pool", pool[1], el[2], (wp * pool[3] + width * mean) / (wp + width)]
-    ]
-
-
-def _absorb_left(stack, k):
-    """Pool at k+1 swallows the whole element at k."""
-    el, pool = stack[k], stack[k + 1]
-    wp = pool[2] - pool[1]
-    width = el[2] - el[1]
-    mean = el[3] if el[0] == "pool" else _piece_mean(el[1], el[2], el[3], el[4])
-    stack[k : k + 2] = [
-        ["pool", el[1], pool[2], (wp * pool[3] + width * mean) / (wp + width)]
-    ]
+    w1 = left[1] - left[0]
+    w2 = right[1] - right[0]
+    v = (w1 * _piece_mean(*left) + w2 * _piece_mean(*right)) / (w1 + w2)
+    stack[k : k + 2] = [[left[0], right[1], v, 0.0]]
 
 
 def _eat_head(stack, k):
     """Pool at k extends into the rising piece at k+1 with a smooth fit."""
-    _, ps0, ps1, v = stack[k]
-    _, s0, s1, a, b = stack[k + 1]
+    ps0, ps1, v, _ = stack[k]
+    s0, s1, a, b = stack[k + 1]
     wp = ps1 - ps0
     w = -wp + math.sqrt(wp * wp + 2.0 * wp * (v - a - b * s0) / b)
     if w >= s1 - s0:
-        _absorb_right(stack, k)
+        _pool(stack, k)
         return
     split = s0 + w
-    stack[k : k + 2] = [
-        ["pool", ps0, split, a + b * split],
-        ["raw", split, s1, a, b],
-    ]
+    stack[k : k + 2] = [[ps0, split, a + b * split, 0.0], [split, s1, a, b]]
 
 
 def _eat_tail(stack, k):
     """Pool at k+1 extends into the rising piece at k with a smooth fit."""
-    _, s0, s1, a, b = stack[k]
-    _, ps0, ps1, v = stack[k + 1]
+    s0, s1, a, b = stack[k]
+    ps0, ps1, v, _ = stack[k + 1]
     wp = ps1 - ps0
     w = -wp + math.sqrt(wp * wp - 2.0 * wp * (v - a - b * s1) / b)
     if w >= s1 - s0:
-        _absorb_left(stack, k)
+        _pool(stack, k)
         return
     split = s1 - w
-    stack[k : k + 2] = [
-        ["raw", s0, split, a, b],
-        ["pool", split, ps1, a + b * split],
-    ]
+    stack[k : k + 2] = [[s0, split, a, b], [split, ps1, a + b * split, 0.0]]
 
 
 def _joint_fit(stack, k):
@@ -144,9 +116,9 @@ def _joint_fit(stack, k):
     terminate: alternating single-sided fits can contract forever without
     reaching the common fit.
     """
-    _, l0, l1, a1, b1 = stack[k]
-    _, p0, p1, v_pool = stack[k + 1]
-    _, r0, r1, a2, b2 = stack[k + 2]
+    l0, l1, a1, b1 = stack[k]
+    p0, p1, v_pool, _ = stack[k + 1]
+    r0, r1, a2, b2 = stack[k + 2]
     span_p = p1 - p0
     content = v_pool * span_p
     fa0, fa1 = a1 + b1 * l0, a1 + b1 * l1
@@ -246,10 +218,10 @@ def _joint_fit(stack, k):
     _, alpha, beta, v = min(candidates, key=lambda c: c[0])
     new: list[list] = []
     if alpha > l0:
-        new.append(["raw", l0, alpha, a1, b1])
-    new.append(["pool", alpha, beta, v])
+        new.append([l0, alpha, a1, b1])
+    new.append([alpha, beta, v, 0.0])
     if beta < r1:
-        new.append(["raw", beta, r1, a2, b2])
+        new.append([beta, r1, a2, b2])
     stack[k : k + 3] = new
 
 
@@ -266,19 +238,15 @@ def _repair(stack):
         if bad is None:
             return
         left, right = stack[bad], stack[bad + 1]
-        if left[0] == "pool" and right[0] == "pool":
-            _merge_pools(stack, bad)
-        elif left[0] == "pool":
-            if right[4] == 0.0:
-                _absorb_right(stack, bad)
-            elif bad - 1 >= 0 and stack[bad - 1][0] == "raw" and stack[bad - 1][4] > 0.0:
+        if left[3] == 0.0 and right[3] == 0.0:
+            _pool(stack, bad)
+        elif left[3] == 0.0:
+            if bad - 1 >= 0 and stack[bad - 1][3] > 0.0:
                 _joint_fit(stack, bad - 1)
             else:
                 _eat_head(stack, bad)
-        elif right[0] == "pool":
-            if left[4] == 0.0:
-                _absorb_left(stack, bad)
-            elif bad + 2 < len(stack) and stack[bad + 2][0] == "raw" and stack[bad + 2][4] > 0.0:
+        elif right[3] == 0.0:
+            if bad + 2 < len(stack) and stack[bad + 2][3] > 0.0:
                 _joint_fit(stack, bad)
             else:
                 _eat_tail(stack, bad)
@@ -292,9 +260,9 @@ def _isotonic_pieces(pieces):
     stack: list[list] = []
     for s0, s1, a, b in pieces:
         if b >= 0.0:
-            stack.append(["raw", s0, s1, a, b])
+            stack.append([s0, s1, a, b])
         else:
-            stack.append(["pool", s0, s1, _piece_mean(s0, s1, a, b)])
+            stack.append([s0, s1, _piece_mean(s0, s1, a, b), 0.0])
         _repair(stack)
     return stack
 
@@ -313,16 +281,8 @@ def _structure(sol: ExactSolution, t: float):
     pieces = _transported_pieces(sol, t)
     if sol.kind == KIND_REPULSIVE:
         # slopes b + 2 eta t stay nonnegative and jumps stay upward
-        return [["raw", s0, s1, a, b] for s0, s1, a, b in pieces]
+        return pieces
     return _isotonic_pieces(pieces)
-
-
-def _eval_structure(structure, z: float) -> float:
-    for el in structure:
-        if z < el[2]:
-            return _start_value(el) + (el[4] * (z - el[1]) if el[0] == "raw" else 0.0)
-    el = structure[-1]
-    return _end_value(el) if el[0] == "raw" else el[3]
 
 
 def exact_quantile(sol: ExactSolution, t: float, z: float) -> float:
@@ -331,16 +291,14 @@ def exact_quantile(sol: ExactSolution, t: float, z: float) -> float:
         raise DomainError(f"time {t} must be nonnegative")
     if not 0.0 < z < 1.0:
         raise DomainError(f"mass label {z} outside (0, 1)")
-    return _eval_structure(_structure(sol, t), z)
+    return float(eval_pieces(_structure(sol, t), z))
 
 
 def exact_grid(sol: ExactSolution, t: float, n: int) -> QuantileGrid:
     """Reference quantile sampled at the ``n`` midpoint nodes."""
     if n < 1:
         raise DomainError("grid size must be positive")
-    structure = _structure(sol, t)
-    nodes = (np.arange(n) + 0.5) / n
-    return QuantileGrid([_eval_structure(structure, z) for z in nodes])
+    return QuantileGrid(eval_pieces(_structure(sol, t), (np.arange(n) + 0.5) / n))
 
 
 def exact_measure(sol: ExactSolution, t: float) -> Measure1D:
@@ -353,10 +311,10 @@ def exact_measure(sol: ExactSolution, t: float) -> Measure1D:
     atoms: list[tuple[float, float]] = []
     pieces: list[tuple[float, float, float]] = []
     for el in _structure(sol, t):
-        mass = el[2] - el[1]
+        mass = el[1] - el[0]
         if mass <= 0.0:
             continue
-        if el[0] == "raw" and el[4] > 0.0:
+        if el[3] > 0.0:
             pieces.append((_start_value(el), _end_value(el), mass))
         else:
             atoms.append((_start_value(el), mass))

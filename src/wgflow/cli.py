@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -64,8 +65,6 @@ def _fmt(x: float) -> str:
 
 def _significant_digits(value: float, digits: int) -> str:
     """Fixed-point rendering with a given count of significant digits."""
-    import math
-
     if value == 0.0:
         return "0." + "0" * digits
     exponent = math.floor(math.log10(abs(value)))
@@ -78,6 +77,24 @@ def _error_record(kind: str, code: int, **extra) -> int:
     record.update(extra)
     print(json.dumps(record), file=sys.stderr)
     return code
+
+
+def _number(d: dict, key: str, default) -> float:
+    raw = d.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(key, f"must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {raw!r}")
+    return value
+
+
+def _integer(d: dict, key: str, default) -> int:
+    value = _number(d, key, default)
+    if isinstance(d.get(key), bool) or not value.is_integer():
+        raise ConfigError(key, f"must be an integer, got {d.get(key)!r}")
+    return int(value)
 
 
 @dataclass
@@ -121,17 +138,16 @@ class ExperimentConfig:
         method = d["method"]
         if method not in _METHODS:
             raise ConfigError("method", f"must be one of {_METHODS}, got {method!r}")
-        inner_tol = d.get("inner_tol")
         cfg = ExperimentConfig(
             potential=pot,
             initial=init,
             method=method,
-            tau=float(d.get("tau", 1e-3)),
-            n=int(d.get("n", 200)),
-            dt=float(d.get("dt", 1e-4)),
-            t_end=float(d.get("t_end", 1.0)),
-            inner_tol=None if inner_tol is None else float(inner_tol),
-            inner_max_iters=int(d.get("inner_max_iters", 500)),
+            tau=_number(d, "tau", 1e-3),
+            n=_integer(d, "n", 200),
+            dt=_number(d, "dt", 1e-4),
+            t_end=_number(d, "t_end", 1.0),
+            inner_tol=None if d.get("inner_tol") is None else _number(d, "inner_tol", None),
+            inner_max_iters=_integer(d, "inner_max_iters", 500),
             out_dir=str(d.get("out_dir", "out")),
             diagnostics=dict(d.get("diagnostics", {})),
         )
@@ -141,6 +157,12 @@ class ExperimentConfig:
     def validate(self):
         if self.t_end <= 0.0:
             raise ConfigError("t_end", "must be positive")
+        if self.n < 1:
+            raise ConfigError("n", "must be a positive integer")
+        if self.inner_tol is not None and self.inner_tol <= 0.0:
+            raise ConfigError("inner_tol", "must be positive")
+        if self.inner_max_iters < 1:
+            raise ConfigError("inner_max_iters", "must be at least 1")
         if self.method == "jko":
             if not self.potential.jko_eligible:
                 raise ConfigError(
@@ -196,9 +218,6 @@ class ExperimentConfig:
                 "energy_identity": bool(self.diagnostics.get("energy_identity", False)),
                 "evi_sigma": self.diagnostics.get("evi_sigma"),
                 "weak_residual": bool(self.diagnostics.get("weak_residual", False)),
-                "metric_derivative": bool(
-                    self.diagnostics.get("metric_derivative", True)
-                ),
             },
         }
 
@@ -299,7 +318,8 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
             "convergence",
             EXIT_SOLVER,
             step=failure.step_index,
-            residual=failure.residual,
+            # null when the step failed before any iterate was accepted
+            residual=failure.residual if math.isfinite(failure.residual) else None,
             message=str(failure),
         )
     except DomainError as exc:

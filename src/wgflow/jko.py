@@ -28,10 +28,12 @@ from .potential import (
 from .transport import w2_quantile
 
 STEP_BOUND_FACTOR = 12.0
+BACKTRACK_HALVINGS = 80
 
 
 class ConvergenceFailure(RuntimeError):
-    """Inner solver ran out of iterations; carries the last iterate."""
+    """Inner solver ran out of iterations or of backtracking halvings;
+    carries the last accepted iterate and its residual."""
 
     def __init__(self, message: str, last: QuantileGrid, residual: float, step_index: int | None = None):
         super().__init__(message)
@@ -164,7 +166,8 @@ def jko_step(
     Minimizes the penalized energy over the monotone cone by projected
     gradient with backtracking from the curvature-informed step size.  The
     output satisfies the stopping rule and never increases the objective
-    relative to ``prev``.
+    relative to ``prev``; a step whose backtracking finds no sufficient
+    decrease raises ``ConvergenceFailure`` instead of being accepted.
     """
     if not W.jko_eligible:
         raise DomainError(
@@ -198,7 +201,7 @@ def jko_step(
     for _ in range(cfg.inner_max_iters):
         g = ggrad(x)
         alpha = alpha0
-        for _ in range(80):
+        for _ in range(BACKTRACK_HALVINGS):
             y = _pava(x - alpha * g)
             dy = y - x
             fy = gobj(y)
@@ -206,6 +209,13 @@ def jko_step(
             if fy <= model + 1e-12 * (1.0 + abs(fx)):
                 break
             alpha *= 0.5
+        else:
+            raise ConvergenceFailure(
+                f"backtracking found no sufficient decrease in {BACKTRACK_HALVINGS} "
+                f"halvings; residual so far {residual:.3e}",
+                last=QuantileGrid(x),
+                residual=residual,
+            )
         residual = float(np.linalg.norm(dy)) / alpha
         x, fx = y, fy
         if residual <= cfg.inner_tol:

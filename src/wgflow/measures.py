@@ -3,8 +3,10 @@ uniform-density segments, together with their cumulative distribution
 functions and monotone rearrangements (quantile functions).
 
 The quantile function uses the strict-inequality pseudo-inverse
-``X(s) = inf {x : M(x) > s}``, evaluated in closed form from the measure's
-breakpoint structure.  All types are immutable value objects.
+``X(s) = inf {x : M(x) > s}``.  It is piecewise affine, and it is held as
+``(s0, s1, a, b)`` pieces with ``X(s) = a + b*s`` on ``[s0, s1)``: the one
+quantile representation that grids, exact solutions and exact distances all
+evaluate through ``piece_index``.  All types are immutable value objects.
 """
 
 from __future__ import annotations
@@ -139,39 +141,6 @@ class QuantileGrid:
         return hash(self.values.tobytes())
 
 
-def _breakpoints(m: Measure1D):
-    """Breakpoint structure of the CDF.
-
-    Returns sorted positions ``xs`` and arrays ``f_left``, ``f_right`` with the
-    one-sided CDF values at each position; between consecutive positions the
-    CDF is affine.
-    """
-    jumps: dict[float, float] = {}
-    for x, mass in m.atoms:
-        jumps[x] = jumps.get(x, 0.0) + mass
-    points = set(jumps)
-    for l, r, _ in m.pieces:
-        points.add(l)
-        points.add(r)
-    xs = np.array(sorted(points), dtype=float)
-    K = xs.size
-    f_left = np.empty(K)
-    f_right = np.empty(K)
-    acc = 0.0
-    for k in range(K):
-        f_left[k] = acc
-        acc += jumps.get(float(xs[k]), 0.0)
-        f_right[k] = acc
-        if k + 1 < K:
-            lo, hi = xs[k], xs[k + 1]
-            dens = 0.0
-            for l, r, mass in m.pieces:
-                if l <= lo and r >= hi:
-                    dens += mass / (r - l)
-            acc += dens * (hi - lo)
-    return xs, f_left, f_right
-
-
 def cdf(m: Measure1D, x: float) -> float:
     """CDF value ``mu((-inf, x])``; right-continuous and nondecreasing."""
     total = 0.0
@@ -186,34 +155,64 @@ def cdf(m: Measure1D, x: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _quantile_from_structure(xs, f_left, f_right, s: float) -> float:
-    k = int(np.searchsorted(f_right, s, side="right"))
-    if k >= xs.size:
-        return float(xs[-1])
-    if f_left[k] > s:
-        d = (f_left[k] - f_right[k - 1]) / (xs[k] - xs[k - 1])
-        return float(xs[k - 1] + (s - f_right[k - 1]) / d)
-    return float(xs[k])
+def quantile_pieces(m: Measure1D) -> list[tuple[float, float, float, float]]:
+    """Affine pieces of the quantile function.
+
+    Returns ``(s0, s1, a, b)`` tuples with ``X(s) = a + b*s`` on ``[s0, s1)``;
+    atoms appear as flat pieces (b = 0), uniform stretches as rising pieces.
+    The pieces are sorted, each starts where the previous one ends, and they
+    cover (0, 1) up to the mass tolerance.
+    """
+    jumps: dict[float, float] = {}
+    for x, mass in m.atoms:
+        jumps[x] = jumps.get(x, 0.0) + mass
+    xs = sorted(set(jumps).union(v for l, r, _ in m.pieces for v in (l, r)))
+    segs: list[tuple[float, float, float, float]] = []
+    acc = 0.0
+    for lo, hi in zip(xs, xs[1:] + [None]):
+        start, acc = acc, acc + jumps.get(lo, 0.0)
+        if acc > start:
+            segs.append((start, acc, lo, 0.0))
+        if hi is None:
+            break
+        dens = 0.0
+        for l, r, mass in m.pieces:
+            if l <= lo and r >= hi:
+                dens += mass / (r - l)
+        start, acc = acc, acc + dens * (hi - lo)
+        if acc > start:
+            b = 1.0 / ((acc - start) / (hi - lo))
+            segs.append((start, acc, lo - start * b, b))
+    return segs
+
+
+def piece_index(ends: np.ndarray, s):
+    """Index of the piece that holds level ``s``, given the sorted piece ends:
+    the first piece ending after ``s`` (so the lookup is right-continuous),
+    clamped to the last piece."""
+    return np.minimum(np.searchsorted(ends, s, side="right"), len(ends) - 1)
+
+
+def eval_pieces(pieces, s):
+    """Value at levels ``s`` of the piecewise affine function given by
+    ``(s0, s1, a, b)`` pieces, levels past the last piece clamped to its end."""
+    p = np.asarray(pieces, dtype=float)
+    s0, s1, a, b = p[piece_index(p[:, 1], s)].T
+    return (a + b * s0) + b * (np.minimum(s, s1) - s0)
 
 
 def quantile(m: Measure1D, s: float) -> float:
     """Monotone rearrangement ``inf {x : cdf(m, x) > s}`` for ``s`` in (0, 1)."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"quantile level {s} outside (0, 1)")
-    xs, f_left, f_right = _breakpoints(m)
-    return _quantile_from_structure(xs, f_left, f_right, s)
+    return float(eval_pieces(quantile_pieces(m), s))
 
 
 def to_quantile_grid(m: Measure1D, n: int) -> QuantileGrid:
     """Sample the quantile function at the n midpoint nodes (k + 1/2)/n."""
     if n < 1:
         raise DomainError(f"grid size {n} must be positive")
-    xs, f_left, f_right = _breakpoints(m)
-    nodes = (np.arange(n) + 0.5) / n
-    vals = np.array(
-        [_quantile_from_structure(xs, f_left, f_right, s) for s in nodes]
-    )
-    return QuantileGrid(vals)
+    return QuantileGrid(eval_pieces(quantile_pieces(m), (np.arange(n) + 0.5) / n))
 
 
 def from_quantile_grid(g: QuantileGrid) -> Measure1D:
@@ -234,24 +233,3 @@ def from_quantile_grid(g: QuantileGrid) -> Measure1D:
 def expectation(g: QuantileGrid, f: Callable[[float], float]) -> float:
     """Midpoint-rule value of ``integral of f d(mu)`` through the quantile grid."""
     return float(np.mean([f(float(x)) for x in g.values]))
-
-
-def quantile_pieces(m: Measure1D) -> list[tuple[float, float, float, float]]:
-    """Affine pieces of the quantile function.
-
-    Returns ``(s0, s1, a, b)`` tuples with ``X(s) = a + b*s`` on ``(s0, s1)``;
-    atoms appear as flat pieces (b = 0), uniform stretches as rising pieces.
-    The pieces cover (0, 1) up to zero-length gaps and are sorted by ``s0``.
-    """
-    xs, f_left, f_right = _breakpoints(m)
-    segs: list[tuple[float, float, float, float]] = []
-    K = xs.size
-    for k in range(K):
-        if f_right[k] > f_left[k]:
-            segs.append((float(f_left[k]), float(f_right[k]), float(xs[k]), 0.0))
-        if k + 1 < K and f_left[k + 1] > f_right[k]:
-            d = (f_left[k + 1] - f_right[k]) / (xs[k + 1] - xs[k])
-            b = 1.0 / d
-            a = float(xs[k]) - float(f_right[k]) * b
-            segs.append((float(f_right[k]), float(f_left[k + 1]), a, b))
-    return segs

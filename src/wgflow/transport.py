@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, Measure1D, QuantileGrid, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, piece_index, quantile_pieces
 
 BALANCE_TOL = 1e-12
 MARGINAL_TOL = 1e-9
@@ -143,23 +143,23 @@ def w2_exact_discrete(m1: Measure1D, m2: Measure1D) -> float:
 
     The squared distance is the integral over (0, 1) of the squared quantile
     difference; both quantiles are piecewise affine, so the integrand is
-    integrated in closed form on the merged breakpoints.
+    integrated in closed form between consecutive piece ends of either
+    quantile, with each interval's pieces found by ``piece_index``.
     """
-    p1 = quantile_pieces(m1)
-    p2 = quantile_pieces(m2)
-    breaks = sorted({s for seg in p1 for s in seg[:2]} | {s for seg in p2 for s in seg[:2]})
+    p1 = np.array(quantile_pieces(m1))
+    p2 = np.array(quantile_pieces(m2))
+    breaks = np.unique(np.concatenate([p1[:, :2].ravel(), p2[:, :2].ravel()]))
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    rows = zip(
+        breaks[:-1].tolist(),
+        breaks[1:].tolist(),
+        p1[piece_index(p1[:, 1], mids)].tolist(),
+        p2[piece_index(p2[:, 1], mids)].tolist(),
+    )
     total = 0.0
-    i1 = i2 = 0
-    for u, v in zip(breaks[:-1], breaks[1:]):
-        if v - u <= 0.0:
-            continue
-        mid = 0.5 * (u + v)
-        while i1 + 1 < len(p1) and p1[i1][1] <= mid:
-            i1 += 1
-        while i2 + 1 < len(p2) and p2[i2][1] <= mid:
-            i2 += 1
-        a = p1[i1][2] - p2[i2][2]
-        b = p1[i1][3] - p2[i2][3]
+    for u, v, (_, _, a1, b1), (_, _, a2, b2) in rows:
+        a = a1 - a2
+        b = b1 - b2
         total += (
             a * a * (v - u)
             + a * b * (v * v - u * u)

@@ -203,6 +203,57 @@ def test_pooled_structure_matches_sampled_pava():
         assert np.max(np.abs(ours - reference[sub])) <= 30.0 / samples
 
 
+# exact_grid(sol, t, 8) for PINNED_SOLUTION, as float.hex; the times reach
+# pooling of two pools, a pool swallowing a whole neighbour on either side,
+# the one-sided smooth fits and the joint fit of a pool between rising pieces
+PINNED_SOLUTION = ExactSolution(
+    KIND_ATTRACTIVE,
+    Measure1D(
+        atoms=((-1.0, 0.2), (0.5, 0.15), (2.0, 0.1)),
+        pieces=((-2.0, -1.2, 0.2), (-0.5, 0.3, 0.15), (1.0, 3.0, 0.2)),
+    ),
+    1.0,
+)
+PINNED_GRIDS = {
+    0.5: (
+        "-0x1.5000000000000p+0", "-0x1.e000000000000p-1",
+        "-0x1.999999999999ap-1", "-0x1.e666666666668p-3",
+        "0x1.8000000000000p-2", "0x1.8000000000000p-2",
+        "0x1.a6666666666a4p+0", "0x1.efffffffffffep+0",
+    ),
+    1.9: (
+        "-0x1.47ae147ae1480p-3", "-0x1.47ae147ae1480p-3",
+        "-0x1.47ae147ae1480p-3", "-0x1.0000000000005p-4",
+        "0x1.2c85fbdeebcd0p-5", "0x1.2c85fbdeebcd0p-5",
+        "0x1.570a3d70a3d6ap-1", "0x1.6ccccccccccd0p-1",
+    ),
+    2.3: (
+        "0x1.0d2a6c405d9e3p-5", "0x1.0d2a6c405d9e3p-5",
+        "0x1.0d2a6c405d9e3p-5", "0x1.0d2a6c405d9e3p-5",
+        "0x1.0d2a6c405d9e3p-5", "0x1.0d2a6c405d9e3p-5",
+        "0x1.8f5c28f5c28e7p-2", "0x1.8f5c28f5c28e7p-2",
+    ),
+    2.5: (
+        "0x1.776d546126700p-4", "0x1.776d546126700p-4",
+        "0x1.776d546126700p-4", "0x1.776d546126700p-4",
+        "0x1.776d546126700p-4", "0x1.776d546126700p-4",
+        "0x1.ffffffffffff7p-3", "0x1.ffffffffffff7p-3",
+    ),
+    2.9: (
+        "0x1.1eb851eb851dfp-3", "0x1.1eb851eb851dfp-3",
+        "0x1.1eb851eb851dfp-3", "0x1.1eb851eb851dfp-3",
+        "0x1.1eb851eb851dfp-3", "0x1.1eb851eb851dfp-3",
+        "0x1.1eb851eb851dfp-3", "0x1.1eb851eb851dfp-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("t", sorted(PINNED_GRIDS))
+def test_exact_grid_pinned_bits(t):
+    got = [float(v).hex() for v in exact_grid(PINNED_SOLUTION, t, 8).values]
+    assert got == list(PINNED_GRIDS[t])
+
+
 def test_time_reversal_duality():
     for init in (
         Measure1D.uniform(-1.0, 1.0),

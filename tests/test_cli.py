@@ -43,6 +43,9 @@ def test_run_jko_outputs(tmp_path):
     for key in ("tau", "n", "dt", "t_end", "method", "diagnostics"):
         assert key in resolved
     assert resolved["dt"] == 1e-4  # defaulted parameter appears resolved
+    # the config still carries the unused metric_derivative toggle; it runs,
+    # and the manifest does not echo it
+    assert "metric_derivative" not in resolved["diagnostics"]
 
 
 def test_run_determinism(tmp_path):
@@ -74,6 +77,32 @@ def test_run_refuses_uncertifiable_potential(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert record["field"] == "potential"
+
+
+@pytest.mark.parametrize(
+    "method, key, value",
+    [
+        ("jko", "n", 0),
+        ("jko", "n", 2.7),
+        ("jko", "n", "many"),
+        ("exact", "n", -3),
+        ("particles", "n", 0),
+        ("jko", "inner_tol", -1.0),
+        ("jko", "inner_max_iters", 0),
+        ("jko", "inner_max_iters", 1.5),
+        ("jko", "tau", float("nan")),
+    ],
+)
+def test_run_names_the_bad_field(tmp_path, capsys, method, key, value):
+    cfg = dict(REPULSIVE_DIRAC_RUN, method=method, t_end=0.1, dt=1e-2)
+    cfg[key] = value
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["field"] == key
+    assert not out.exists()  # refused before any work
 
 
 def test_run_rejects_bad_json(tmp_path, capsys):
@@ -218,6 +247,23 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
     assert record["error"] == "convergence"
     assert record["step"] == 0
     assert record["residual"] > 0
+
+
+def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
+    import itertools
+
+    import wgflow.jko as jko
+
+    calls = itertools.count()
+    monkeypatch.setattr(jko, "pair_energy", lambda W, x, m: float(next(calls)))
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004)
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    record = json.loads(err, parse_constant=lambda name: pytest.fail(f"{name} in {err}"))
+    assert record["error"] == "convergence"
+    assert record["step"] == 0
+    assert record["residual"] is None
 
 
 def test_ot_unbalanced_rejected(tmp_path, capsys):

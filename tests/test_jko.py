@@ -194,6 +194,24 @@ def test_convergence_failure_carries_state():
     assert info.value.residual > 0
 
 
+def test_backtracking_failure_raises(monkeypatch):
+    """A step whose line search never finds sufficient decrease is refused."""
+    import itertools
+
+    import wgflow.jko as jko
+
+    # every energy evaluation after the first is larger, so no trial passes
+    calls = itertools.count()
+    monkeypatch.setattr(jko, "pair_energy", lambda W, x, m: float(next(calls)))
+    prev = to_quantile_grid(Measure1D.dirac(0.0), 16)
+    cfg = JkoConfig(tau=0.01, n=16, t_end=1.0)
+    with pytest.raises(ConvergenceFailure, match="backtracking") as info:
+        jko_step(REPULSIVE, prev, cfg)
+    assert next(calls) == 1 + jko.BACKTRACK_HALVINGS
+    assert info.value.last == prev
+    assert info.value.residual == np.inf
+
+
 def test_flow_dirac_diffusion():
     cfg = JkoConfig(tau=1e-3, n=100, t_end=1.0)
     traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)

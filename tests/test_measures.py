@@ -147,6 +147,7 @@ def test_round_trip_exact_from_measures():
         m = random_measure(rng)
         n = int(rng.integers(1, 64))
         g = to_quantile_grid(m, n)
+        assert np.array_equal(g.values, [quantile(m, s) for s in g.nodes])
         back = to_quantile_grid(from_quantile_grid(g), n)
         assert np.array_equal(back.values, g.values)
 

@@ -14,6 +14,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,11 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _fmts(values):
+    """``_fmt`` of every entry of ``values``, in order, as a lazy iterator."""
+    return map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist())
 
 
 def _significant_digits(value: float, digits: int) -> str:
@@ -223,33 +229,37 @@ class ExperimentConfig:
 
 
 def _write_grid_trajectory(path: str, traj: FlowTrajectory):
+    # the ",i,s_i," columns depend on the grid size only
+    columns: dict[int, list[str]] = {}
     with open(path, "w", newline="") as fh:
         fh.write("t,i,s_i,X_i\n")
-        for t, grid in zip(traj.times, traj.states):
-            nodes = grid.nodes
-            for i, (s, x) in enumerate(zip(nodes, grid.values)):
-                fh.write(f"{_fmt(t)},{i},{_fmt(s)},{_fmt(x)}\n")
+        for ts, grid in zip(_fmts(traj.times), traj.states):
+            if grid.n not in columns:
+                columns[grid.n] = [f",{i},{s}," for i, s in enumerate(_fmts(grid.nodes))]
+            rows = zip(columns[grid.n], _fmts(grid.values))
+            fh.writelines(ts + c + x + "\n" for c, x in rows)
 
 
 def _write_particle_trajectory(path: str, history: list[ParticleState]):
     with open(path, "w", newline="") as fh:
         fh.write("t,i,x_i,m_i\n")
-        for st in history:
-            for i, (x, m) in enumerate(zip(st.positions, st.masses)):
-                fh.write(f"{_fmt(st.time)},{i},{_fmt(x)},{_fmt(m)}\n")
+        for st, ts in zip(history, _fmts([st.time for st in history])):
+            rows = enumerate(zip(_fmts(st.positions), _fmts(st.masses)))
+            fh.writelines(f"{ts},{i},{x},{m}\n" for i, (x, m) in rows)
 
 
 def _write_summary(path: str, traj: FlowTrajectory):
     speeds = metric_derivative_estimate(traj) if len(traj.states) > 1 else np.array([])
+    # the first state has no step behind it: its speed and cost are empty
+    rows = zip(
+        _fmts(traj.times),
+        _fmts(traj.energies),
+        itertools.chain([""], _fmts(speeds)),
+        itertools.chain([""], _fmts(traj.step_costs)),
+    )
     with open(path, "w", newline="") as fh:
         fh.write("t,energy,metric_derivative,step_cost\n")
-        for k, (t, e) in enumerate(zip(traj.times, traj.energies)):
-            if k == 0:
-                fh.write(f"{_fmt(t)},{_fmt(e)},,\n")
-            else:
-                fh.write(
-                    f"{_fmt(t)},{_fmt(e)},{_fmt(speeds[k - 1])},{_fmt(traj.step_costs[k - 1])}\n"
-                )
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
@@ -381,7 +391,7 @@ def cmd_ot(path: str, plan_out: str | None = None) -> int:
     if plan_out is not None:
         with open(plan_out, "w", newline="") as fh:
             for row in plan.x:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(_fmts(row)) + "\n")
     return EXIT_OK
 
 

@@ -233,6 +233,9 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
 
     Records the energy of every state and the squared step distances; a
     convergence failure is re-raised with the offending step index attached.
+    The certificate is taken once at the default radius of 10 whatever the
+    support: for a potential the scheme accepts it does not depend on the
+    radius (see ``convexity_certificate``).
     """
     cert = convexity_certificate(W)
     cfg.validate_step_bound(cert)

@@ -97,28 +97,21 @@ def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> list
         v = ode_rhs(W, ParticleState(x, m, t))
         h = min(dt, t_end - t)
         # earliest crossing among adjacent, distinct, approaching pairs
-        whens = np.full(max(x.size - 1, 0), np.inf)
-        for i in range(x.size - 1):
-            gap = x[i + 1] - x[i]
-            rel = v[i] - v[i + 1]
-            if gap > 0.0 and rel > 0.0:
-                whens[i] = gap / rel
+        gap = np.diff(x)
+        rel = v[:-1] - v[1:]
+        approach = (gap > 0.0) & (rel > 0.0)
+        whens = np.full(gap.size, np.inf)
+        whens[approach] = gap[approach] / rel[approach]
         event = min(h, float(whens.min(initial=np.inf)))
         # every pair crossing within tolerance of the event takes part in it
-        contact = [i for i in range(whens.size) if whens[i] <= event + _EVENT_TOL]
+        contact = np.flatnonzero(whens <= event + _EVENT_TOL)
         x = x + event * v
         t = t + event
-        if contact:
+        if contact.size:
             # group simultaneous contacts into runs of coincident particles
-            idx = contact
-            groups: list[list[int]] = [[idx[0]]]
-            for i in idx[1:]:
-                if i == groups[-1][-1] + 1:
-                    groups[-1].append(i)
-                else:
-                    groups.append([i])
+            groups = np.split(contact, np.flatnonzero(np.diff(contact) > 1) + 1)
             for grp in reversed(groups):
-                lo, hi = grp[0], grp[-1] + 1
+                lo, hi = int(grp[0]), int(grp[-1]) + 1
                 meet = float(np.dot(x[lo : hi + 1], m[lo : hi + 1]) / m[lo : hi + 1].sum())
                 x[lo : hi + 1] = meet
                 if W.eta >= 0.0:

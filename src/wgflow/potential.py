@@ -222,6 +222,11 @@ def convexity_certificate(W: Potential, radius: float = 10.0) -> ConvexityCertif
     evaluated at the working radius.  A negative term with ``1 < p < 2`` is
     refused: its curvature ``c p (p-1) |x|^(p-2)`` is unbounded below at 0,
     so no finite constants exist.  The sampled midpoint check runs after.
+
+    For every potential the implicit scheme accepts, lambda_prime and
+    lambda_second do not depend on ``radius``: ``jko_eligible`` rules out
+    p > 2 and negative terms with p < 2 are refused, so a negative term has
+    p = 2, where ``r**(p - 2) = 1``.
     """
     r = max(float(radius), 1.0)
     lam_prime = max(0.0, -W.eta)
@@ -241,9 +246,12 @@ def convexity_certificate(W: Potential, radius: float = 10.0) -> ConvexityCertif
 
 def _verify_midpoint_convexity(W: Potential, cert: ConvexityCertificate, samples: int = 129):
     xs = np.linspace(-cert.radius, cert.radius, samples)
-    f = evaluate(W, xs) + 0.5 * cert.lambda_second * xs**2 + cert.lambda_prime * np.abs(xs)
+    compensation = 0.5 * cert.lambda_second * xs**2 + cert.lambda_prime * np.abs(xs)
+    f = evaluate(W, xs) + compensation
+    # rounding in f grows with its summands, which may cancel to f = 0
+    sizes = Potential(abs(W.eta), abs(W.beta), tuple((abs(c), p) for c, p in W.terms))
+    scale = 1.0 + float(np.max(evaluate(sizes, xs) + compensation))
     # pairs with an on-grid midpoint: indices of equal parity
-    scale = 1.0 + float(np.max(np.abs(f)))
     for step in (2, 4, 8, 16, 32):
         if step >= samples:
             break

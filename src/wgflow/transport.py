@@ -2,6 +2,11 @@
 one-dimensional measures through their quantile functions, and the finite
 primal/dual transportation problem solved by the transportation simplex with
 a complementary-slackness duality certificate.
+
+The simplex and the certificate share one walk of a spanning forest,
+``_walk``: over the basis tree it gives each pivot's potentials and, through
+its parent pointers, the entering cell's cycle; over a plan's support it
+gives the certificate's potentials and components.
 """
 
 from __future__ import annotations
@@ -190,90 +195,88 @@ def _northwest_corner(p: np.ndarray, q: np.ndarray):
     return x, basis
 
 
-def _tree_potentials(basis, cost, m, n):
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    adj_row = [[] for _ in range(m)]
-    adj_col = [[] for _ in range(n)]
-    for i, j in basis:
-        adj_row[i].append(j)
-        adj_col[j].append(i)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in adj_row[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in adj_col[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append(("r", i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise RuntimeError("basis graph is not a spanning tree")
-    return u, v
+def _walk(cells, cost, m, n):
+    """Depth-first walk of the bipartite graph whose edges are ``cells``, on
+    rows ``0..m-1`` (nodes ``0..m-1``) and columns ``0..n-1`` (nodes
+    ``m..m+n-1``).
+
+    Each component is walked from its lowest unreached row, which gets
+    ``u = 0``; every tree edge ``(i, j)`` sets its far end so that
+    ``u_i + v_j = cost[i, j]``, and a node's edges are taken in the order of
+    ``cells``.  Returns ``u``, ``v``, the component of every node (-1 for a
+    column no cell reaches) and every node's tree parent (-1 at a root).
+    """
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [0.0] * (m + n)
+    comp = [-1] * (m + n)
+    parent = [-1] * (m + n)
+    ncomp = 0
+    for root in range(m):
+        if comp[root] >= 0:
+            continue
+        comp[root] = ncomp
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in adj[a]:
+                if comp[b] < 0:
+                    comp[b] = ncomp
+                    parent[b] = a
+                    i, j = (a, b - m) if a < m else (b, a - m)
+                    pot[b] = cost[i, j] - pot[a]
+                    stack.append(b)
+        ncomp += 1
+    pot = np.array(pot)
+    return pot[:m], pot[m:], np.array(comp), parent
 
 
-def _basis_cycle(basis, enter, m, n):
-    """Cells of the unique cycle created by adding ``enter`` to the basis tree.
-
-    Returns the cycle as a list starting with ``enter``, signs alternating
-    +, -, +, ... along it.
+def _cycle(parent, enter, m):
+    """Cells of the cycle that ``enter`` closes in the basis tree: ``enter``,
+    then the tree path from its column up to the common ancestor and down to
+    its row.  Signs alternate +, -, +, ... along it.
     """
     i0, j0 = enter
-    adj = {}
-    for i, j in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start, goal = ("r", i0), ("c", j0)
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt in adj.get(node, []):
-            if nxt not in parent:
-                parent[nxt] = node
-                stack.append(nxt)
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # r(i0) ... c(j0)
-    cells = []
-    for aa, bb in zip(path[:-1], path[1:]):
-        (ka, va), (kb, vb) = aa, bb
-        cells.append((va, vb) if ka == "r" else (vb, va))
-    return [enter] + cells[::-1]
+    row_path = [i0]  # row i0 up to its root
+    while parent[row_path[-1]] >= 0:
+        row_path.append(parent[row_path[-1]])
+    on_row_path = set(row_path)
+    col_path = [m + j0]  # column j0 up to the first node on row_path
+    while col_path[-1] not in on_row_path:
+        col_path.append(parent[col_path[-1]])
+    nodes = col_path + row_path[: row_path.index(col_path[-1])][::-1]
+    return [enter] + [
+        (a, b - m) if a < m else (b, a - m) for a, b in zip(nodes, nodes[1:])
+    ]
 
 
-def solve_primal(inst: DiscreteInstance, max_pivots: int | None = None) -> TransportPlan:
+def solve_primal(inst: DiscreteInstance) -> TransportPlan:
     """Minimal-cost plan via the transportation simplex.
 
     Bland's least-index rule is used for both the entering and the leaving
-    cell, which rules out cycling on degenerate instances.
+    cell, which rules out cycling on degenerate instances.  Each pivot walks
+    the basis tree once: the walk gives the potentials, and its parent
+    pointers give the entering cell's cycle.
     """
     p = inst.source_masses
     q = inst.sink_masses
     cost = inst.cost
     m, n = cost.shape
     x, basis = _northwest_corner(p, q)
-    if max_pivots is None:
-        max_pivots = 200 * m * n + 200
-    for _ in range(max_pivots):
-        u, v = _tree_potentials(basis, cost, m, n)
+    for _ in range(200 * m * n + 200):
+        u, v, comp, parent = _walk(basis, cost, m, n)
+        if np.any(comp != 0):
+            raise RuntimeError("basis graph is not a spanning tree")
         reduced = cost - u[:, None] - v[None, :]
         for i, j in basis:
             reduced[i, j] = 0.0
-        flat = reduced.reshape(-1)
-        candidates = np.flatnonzero(flat < -1e-12)
+        candidates = np.flatnonzero(reduced < -1e-12)
         if candidates.size == 0:
             break
-        enter = (int(candidates[0]) // n, int(candidates[0]) % n)
-        cycle = _basis_cycle(basis, enter, m, n)
+        enter = divmod(int(candidates[0]), n)
+        cycle = _cycle(parent, enter, m)
         minus = cycle[1::2]
         theta = min(x[c] for c in minus)
         leave = min(c for c in minus if x[c] == theta)
@@ -301,37 +304,13 @@ def solve_dual(inst: DiscreteInstance, plan: TransportPlan) -> DualSolution:
     """
     cost = inst.cost
     m, n = cost.shape
-    support = plan.x > _SUPPORT_TOL
-    u = np.zeros(m)
-    v = np.zeros(n)
-    comp_row = np.full(m, -1)
-    comp_col = np.full(n, -1)
-    ncomp = 0
-    for i0 in range(m):
-        if comp_row[i0] >= 0:
-            continue
-        comp_row[i0] = ncomp
-        u[i0] = 0.0
-        stack = [("r", i0)]
-        while stack:
-            kind, k = stack.pop()
-            if kind == "r":
-                for j in np.flatnonzero(support[k]):
-                    if comp_col[j] < 0:
-                        comp_col[j] = ncomp
-                        v[j] = cost[k, j] - u[k]
-                        stack.append(("c", int(j)))
-            else:
-                for i in np.flatnonzero(support[:, k]):
-                    if comp_row[i] < 0:
-                        comp_row[i] = ncomp
-                        u[i] = cost[i, k] - v[k]
-                        stack.append(("r", int(i)))
-        ncomp += 1
+    u, v, comp, _ = _walk(np.argwhere(plan.x > _SUPPORT_TOL).tolist(), cost, m, n)
+    comp_row, comp_col = comp[:m], comp[m:]
     if np.any(comp_col < 0):
         # columns with no support edge cannot occur for positive sink masses
         raise DomainError("plan support misses a sink; plan is not feasible")
 
+    ncomp = int(comp.max()) + 1
     if ncomp > 1:
         slack = cost - u[:, None] - v[None, :]
         # tightest shift delta_a - delta_b <= min slack over rows(a) x cols(b)

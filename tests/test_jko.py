@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wgflow import (
     ConvergenceFailure,
@@ -331,3 +333,39 @@ def test_energy_identity_after_collapse_frozen():
 def test_t_end_must_be_step_multiple():
     with pytest.raises(DomainError):
         JkoConfig(tau=3e-3, n=8, t_end=1.0).step_count()
+
+
+@st.composite
+def _certifiable_potential(draw):
+    """A jko-eligible potential that has a certificate: any cusp and beta,
+    nonnegative powers with p in (1, 2], negative powers only at p = 2."""
+    coef = st.floats(-2.0, 2.0)
+    positive = st.tuples(st.floats(0.0, 2.0), st.floats(1.0, 2.0, exclude_min=True))
+    negative = st.tuples(st.floats(-2.0, 0.0, exclude_max=True), st.just(2.0))
+    terms = draw(st.lists(st.one_of(positive, negative), max_size=3))
+    return Potential(eta=draw(coef), beta=draw(coef), terms=tuple(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certifiable_potential(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+@example(  # summands near 1e6 at radius 1e3 cancel to a compensated potential of 0
+    Potential(eta=-1.8785988224635535, beta=-1.5084315911799626,
+              terms=((-0.9047296015725295, 2.0), (-0.4973501602901442, 2.0),
+                     (-1.255629454869592, 2.0))),
+    [0.0],
+)
+def test_certificate_does_not_depend_on_radius(W, values):
+    # a negative term has p = 2, where r**(p - 2) = 1, so the radius drops out
+    certs = [convexity_certificate(W, radius=r) for r in (1.0, 10.0, 1e3)]
+    assert len({(c.lambda_prime, c.lambda_second) for c in certs}) == 1
+    prev = QuantileGrid(np.sort(values))
+    cfg = JkoConfig(tau=0.05 / (1.0 + certs[0].lambda_minus), n=prev.n, t_end=1.0)
+
+    def outcome(cert):
+        try:
+            return jko_step(W, prev, cfg, cert).values.tobytes()
+        except ConvergenceFailure as failure:  # slow inner convergence near p -> 1
+            return failure.last.values.tobytes(), failure.residual
+
+    # a state-sized certificate and run_flow's radius-10 one give one step
+    assert outcome(None) == outcome(convexity_certificate(W))

@@ -210,3 +210,62 @@ def test_degenerate_supports_still_certify():
     assert plan.objective == pytest.approx(0.0, abs=1e-15)
     dual = solve_dual(inst, plan)
     assert abs(dual.objective) <= 1e-9
+
+
+def _uniform_instance(cost):
+    cost = np.asarray(cost, dtype=float)
+    m, n = cost.shape
+    return DiscreteInstance(
+        np.zeros((m, 1)), np.full(m, 1.0 / m), np.zeros((n, 1)), np.full(n, 1.0 / n), cost
+    )
+
+
+@pytest.mark.parametrize(
+    "cost, x",
+    [
+        (np.zeros((2, 2)), np.full((2, 2), 0.25)),
+        (
+            [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            [[1 / 3, 0.0, 0.0], [0.0, 1 / 6, 1 / 6], [0.0, 1 / 6, 1 / 6]],
+        ),
+    ],
+)
+def test_solve_dual_certifies_cyclic_support(cost, x):
+    # optimal plans whose support graph holds a cycle, not a forest
+    from wgflow.transport import TransportPlan
+
+    inst = _uniform_instance(cost)
+    plan = TransportPlan(x, float(np.sum(inst.cost * np.asarray(x))))
+    dual = solve_dual(inst, plan)
+    assert np.all(dual.u == 0.0) and np.all(dual.v == 0.0)
+    assert dual.objective == plan.objective == 0.0
+
+
+def test_solve_dual_refuses_nonoptimal_cyclic_support():
+    from wgflow.transport import TransportPlan
+
+    inst = _uniform_instance([[0.0, 1.0], [1.0, 0.0]])
+    plan = TransportPlan(np.full((2, 2), 0.25), 0.5)
+    with pytest.raises(DomainError, match="duality gap"):
+        solve_dual(inst, plan)
+
+
+def test_simplex_and_certificate_pinned_bits():
+    # values taken from the simplex before its walks were merged into one
+    import hashlib
+
+    rng = np.random.default_rng(4040)
+    p = 0.5 + rng.random(40)
+    q = 0.5 + rng.random(40)
+    p /= p.sum()
+    q /= q.sum()
+    inst = DiscreteInstance.from_weighted_points(
+        list(zip(rng.random((40, 2)), p)), list(zip(rng.random((40, 2)), q))
+    )
+    plan = solve_primal(inst)
+    dual = solve_dual(inst, plan)
+    assert plan.objective.hex() == "0x1.cdbd5a58bc47ap-6"
+    assert dual.objective.hex() == "0x1.cdbd5a58bc480p-6"
+    assert hashlib.sha256(plan.x.tobytes()).hexdigest() == (
+        "434aed86b4a1b80c5d91d56728872844d42b918ce897b591e48f9a4d41b0d9a5"
+    )

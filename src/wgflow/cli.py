@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -310,11 +311,12 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
             traj = run_flow(cfg.potential, cfg.initial, cfg.jko_config())
             _write_grid_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), traj)
         elif cfg.method == "particles":
-            st0 = ParticleState(
-                [x for x, _ in cfg.initial.atoms],
-                [m for _, m in cfg.initial.atoms],
-                0.0,
-            )
+            # particles start sorted, one per position: repeats of a position
+            # merge, their masses summed in the order the config lists them
+            first = operator.itemgetter(0)
+            groups = itertools.groupby(sorted(cfg.initial.atoms, key=first), key=first)
+            merged = [(x, sum(m for _, m in atoms)) for x, atoms in groups]
+            st0 = ParticleState([x for x, _ in merged], [m for _, m in merged], 0.0)
             history = integrate(cfg.potential, st0, cfg.t_end, cfg.dt)
             _write_particle_trajectory(
                 os.path.join(cfg.out_dir, "trajectory.csv"), history

@@ -132,7 +132,10 @@ def _trajectory(W: Potential, times: np.ndarray, states: list[QuantileGrid]) -> 
 
 
 def _pava(y: np.ndarray) -> np.ndarray:
-    """L2 projection onto nondecreasing sequences (pool adjacent violators)."""
+    """L2 projection onto nondecreasing sequences (pool adjacent violators);
+    an input that is already nondecreasing is returned as it is."""
+    if np.all(np.diff(y) >= 0.0):
+        return y
     means: list[float] = []
     counts: list[int] = []
     for value in y:
@@ -149,10 +152,7 @@ def _pava(y: np.ndarray) -> np.ndarray:
 
 def isotonic_project(y) -> QuantileGrid:
     """Closest nondecreasing grid to ``y`` in the Euclidean norm; idempotent."""
-    arr = np.asarray(y, dtype=float).reshape(-1)
-    if np.all(np.diff(arr) >= 0.0):
-        return QuantileGrid(arr)
-    return QuantileGrid(_pava(arr))
+    return QuantileGrid(_pava(np.asarray(y, dtype=float).reshape(-1)))
 
 
 def jko_step(
@@ -262,14 +262,11 @@ def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.
     e_sigma = interaction_energy(W, sigma)
     dists = np.array([w2_quantile(s, sigma) ** 2 for s in traj.states])
     taus = np.diff(traj.times)
-    out = np.empty(taus.size)
-    for k, tau in enumerate(taus):
-        out[k] = (
-            (dists[k + 1] - dists[k]) / (2.0 * tau)
-            + 0.5 * W.eta * dists[k + 1]
-            - (e_sigma - traj.energies[k + 1])
-        )
-    return out
+    return (
+        np.diff(dists) / (2.0 * taus)
+        + 0.5 * W.eta * dists[1:]
+        - (e_sigma - traj.energies[1:])
+    )
 
 
 def energy_identity_residual(W: Potential, traj: FlowTrajectory) -> float:

@@ -74,10 +74,6 @@ class Measure1D:
     def from_atoms(pairs: Iterable[tuple[float, float]]) -> "Measure1D":
         return Measure1D(atoms=tuple(pairs))
 
-    def support_bounds(self) -> tuple[float, float]:
-        xs = [x for x, _ in self.atoms] + [v for l, r, _ in self.pieces for v in (l, r)]
-        return min(xs), max(xs)
-
     def mean(self) -> float:
         """Exact first moment."""
         total = sum(x * m for x, m in self.atoms)

@@ -131,6 +131,35 @@ def test_run_particles_method(tmp_path):
     assert float(last[3]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "atoms, first, last",
+    [
+        # listed out of order: the run starts from the sorted atoms
+        ([[1.0, 0.5], [0.0, 0.5]], [[0.0, 0.5], [1.0, 0.5]], [[0.5, 1.0]]),
+        # a repeated position is one atom, so the pair collapses to one
+        ([[0.0, 0.25], [0.0, 0.25], [1.0, 0.5]], [[0.0, 0.5], [1.0, 0.5]], [[0.5, 1.0]]),
+    ],
+)
+def test_run_particles_starts_from_sorted_merged_atoms(tmp_path, atoms, first, last):
+    cfg = {
+        "potential": {"eta": 1.0},
+        "initial": {"atoms": atoms},
+        "method": "particles",
+        "dt": 1e-3,
+        "t_end": 3.0,
+        "n": 20,
+    }
+    out = tmp_path / "out"
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out), "--quiet"])
+    assert code == 0
+    rows = np.array(
+        [[float(v) for v in row.split(",")] for row in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    )
+    assert np.array_equal(rows[rows[:, 0] == 0.0][:, 2:], first)
+    assert rows[-1, 0] == pytest.approx(3.0, abs=1e-9)
+    assert np.allclose(rows[rows[:, 0] == rows[-1, 0]][:, 2:], last, atol=1e-9)
+
+
 def test_run_exact_method_matches_oracle(tmp_path):
     cfg = {
         "potential": {"eta": -1.0},

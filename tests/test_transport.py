@@ -124,6 +124,16 @@ def test_simplex_on_degenerate_tied_instances():
         assert abs(dual.objective - plan.objective) <= 1e-7
 
 
+def test_simplex_leaving_rule_picks_least_index():
+    # a tied ratio test: two optimal vertices, and the least-index leaving
+    # cell reaches this one (a largest-index rule reaches the other)
+    p = np.array([3.0, 2.0, 3.0, 1.0, 3.0]) / 12.0
+    q = np.array([0.5, 0.5])
+    cost = np.array([[0, 1], [0, 0], [0, 1], [0, 2], [0, 1]], dtype=float)
+    plan = solve_primal(DiscreteInstance(np.zeros((5, 1)), p, np.zeros((2, 1)), q, cost))
+    assert np.allclose(plan.x * 12.0, [[3, 0], [0, 2], [2, 1], [1, 0], [0, 3]], atol=1e-12)
+
+
 def test_solve_dual_certifies():
     rng = np.random.default_rng(29)
     for _ in range(60):

@@ -26,6 +26,7 @@ from wgflow import (
     from_quantile_grid,
 )
 from oracles import lattice_isotonic
+from wgflow.potential import curvature_bound
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)
@@ -125,7 +126,13 @@ def test_step_matches_constrained_optimizer_oracle():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2718)
     n = 8
-    for W in (REPULSIVE, ATTRACTIVE, QUADRATIC, Potential(eta=-1.0, beta=1.0)):
+    for W in (
+        REPULSIVE,
+        ATTRACTIVE,
+        QUADRATIC,
+        Potential(eta=-1.0, beta=1.0),
+        Potential(eta=-1.0, terms=((1.0, 1.5),)),
+    ):
         prev = QuantileGrid(np.sort(rng.uniform(-1, 1, n)))
         tau = 0.02
         cfg = JkoConfig(tau=tau, n=n, t_end=1.0)
@@ -186,6 +193,80 @@ def test_step_never_increases_objective():
             return np.sum(d * d) / (2 * cfg.tau * n) + interaction_energy(W, g)
 
         assert penalized(out) <= penalized(prev) + 1e-12
+
+
+def _penalized(W, prev, g, tau):
+    d = g.values - prev.values
+    return float(d @ d) / (2 * tau * prev.n) + interaction_energy(W, g)
+
+
+def _prox_residual(W, prev, out, tau):
+    """Prox-gradient residual of ``out`` for the step from ``prev``, rebuilt
+    from public functions: ``|P(x - alpha g) - x| / alpha`` for the n-scaled
+    objective, with the step length the solver starts from."""
+    x = out.values
+    g = (x - prev.values) / tau + out.n * energy_subgradient(W, out)
+    radius = max(1.0, 2.0 * float(np.max(np.abs(prev.values))) + 1.0)
+    alpha = 1.0 / (1.0 / tau + 2.0 * curvature_bound(W, radius))
+    return float(np.linalg.norm(isotonic_project(x - alpha * g).values - x)) / alpha
+
+
+@st.composite
+def _convex_potential(draw):
+    """A cusp of either sign, beta >= 0 and nonnegative powers with p in
+    (1, 2], zero coefficients included."""
+    power = st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        st.floats(1.0, 2.0, exclude_min=True),
+    )
+    terms = draw(st.lists(power, max_size=2))
+    return Potential(eta=draw(st.floats(-2.0, 2.0)), beta=draw(st.floats(0.0, 2.0)), terms=tuple(terms))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _convex_potential(),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    st.sampled_from([-2.5, 0.75, 4.0]),
+)
+def test_step_invariants(W, values, shift):
+    """Translation equivariance, centre of mass, monotone output and no
+    increase of the penalized objective, for one step from ``values``."""
+    prev = QuantileGrid(np.sort(values))
+    cert = convexity_certificate(W)
+    cfg = JkoConfig(tau=0.05 / (1.0 + cert.lambda_minus), n=prev.n, t_end=1.0)
+    try:
+        out = jko_step(W, prev, cfg, cert)
+        moved = jko_step(W, QuantileGrid(prev.values + shift), cfg, cert)
+    except ConvergenceFailure:
+        # projected gradient may stall near ties of a power with p < 2; a
+        # refused step has no output to check
+        return
+    scale = 1.0 + float(np.max(np.abs(prev.values)))
+    assert np.all(np.diff(out.values) >= 0.0)
+    assert abs(np.mean(out.values) - np.mean(prev.values)) <= 1e-12 * scale
+    before = _penalized(W, prev, prev, cfg.tau)
+    assert _penalized(W, prev, out, cfg.tau) <= before + 1e-12 * (1.0 + abs(before))
+    assert np.max(np.abs(moved.values - shift - out.values)) <= 1e-9 * (scale + abs(shift))
+
+
+@pytest.mark.parametrize(
+    "W",
+    [REPULSIVE, Potential(eta=-1.0, beta=1.0), Potential(eta=-1.0, terms=((1.0, 1.5),))],
+    ids=["cusp", "cusp_quadratic", "power"],
+)
+def test_step_output_meets_stopping_rule(W):
+    """The returned grid itself has prox-gradient residual <= inner_tol."""
+    rng = np.random.default_rng(31)
+    tau = 0.01
+    for prev in (
+        QuantileGrid(np.zeros(40)),
+        QuantileGrid(np.sort(rng.uniform(-1.0, 1.0, 40))),
+        to_quantile_grid(Measure1D(atoms=((-0.5, 0.5), (0.7, 0.5))), 40),
+    ):
+        cfg = JkoConfig(tau=tau, n=prev.n, t_end=1.0)
+        out = jko_step(W, prev, cfg)
+        assert _prox_residual(W, prev, out, tau) <= cfg.inner_tol
 
 
 def test_convergence_failure_carries_state():

@@ -79,6 +79,11 @@ def _significant_digits(value: float, digits: int) -> str:
     return f"{value:.{decimals}f}"
 
 
+def _finite_or_none(x: float) -> float | None:
+    """``x``, or None (JSON null) when it is not finite."""
+    return x if math.isfinite(x) else None
+
+
 def _error_record(kind: str, code: int, **extra) -> int:
     record = {"error": kind, "exit_code": code}
     record.update(extra)
@@ -331,7 +336,8 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
             EXIT_SOLVER,
             step=failure.step_index,
             # null when the step failed before any iterate was accepted
-            residual=failure.residual if math.isfinite(failure.residual) else None,
+            residual=_finite_or_none(failure.residual),
+            residuals=[_finite_or_none(r) for r in failure.residuals],
             message=str(failure),
         )
     except DomainError as exc:

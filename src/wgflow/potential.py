@@ -4,7 +4,8 @@ dynamics use: the tie-excluding pointwise field and the index-ordered
 subgradient of the energy on the monotone cone.
 
 Every pairwise sum goes through one kernel over sorted weighted points,
-``pair_energy`` and ``pair_force``.
+``pair_energy`` and ``pair_force``, and ``pair_hessian`` applies the
+energy's Hessian on the monotone cone to a vector in the same row blocks.
 """
 
 from __future__ import annotations
@@ -146,6 +147,30 @@ def pair_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> np.nda
         powers = Potential(terms=W.terms)
         f += np.concatenate([deriv_smooth(powers, d) @ m for _, d in _pair_blocks(x)])
     return f
+
+
+def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entry i is sum_j m_j W''(x_i - x_j) (v_i - v_j) for sorted points ``x``
+    with weights ``m`` summing to 1: the Hessian of the energy on the monotone
+    cone applied to ``v``, divided by ``m``.
+
+    The cusp is linear on the cone and adds nothing; the quadratic adds
+    ``beta * (v - m @ v)``.  A tied pair is given an infinite distance, so a
+    power below 2 gives it weight ``inf**(p - 2) = 0`` and ``W''(0) = inf``
+    is never formed.  Memory stays within the ``_pair_blocks`` budget: the
+    Hessian is never held.
+    """
+    h = W.beta * (v - m @ v)
+    if W.terms:
+        mv = m * v
+        rows_out = []
+        for rows, d in _pair_blocks(x):
+            ad = np.abs(d, out=d)
+            ad[ad == 0.0] = np.inf
+            w = sum(c * p * (p - 1.0) * ad ** (p - 2.0) for c, p in W.terms)
+            rows_out.append(v[rows] * (w @ m) - w @ mv)
+        h = h + np.concatenate(rows_out)
+    return h
 
 
 def interaction_energy(W: Potential, g: QuantileGrid) -> float:

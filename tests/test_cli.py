@@ -276,6 +276,7 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
     assert record["error"] == "convergence"
     assert record["step"] == 0
     assert record["residual"] > 0
+    assert record["residuals"] == [pytest.approx(record["residual"])]
 
 
 def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
@@ -293,6 +294,32 @@ def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
     assert record["error"] == "convergence"
     assert record["step"] == 0
     assert record["residual"] is None
+    # one residual per inner iteration: the check at the Dirac, then refusal
+    assert len(record["residuals"]) == 1
+    assert record["residuals"][0] > 0
+
+
+def test_run_failure_record_writes_nonfinite_residuals_as_null(tmp_path, capsys, monkeypatch):
+    import wgflow.jko as jko
+
+    # a NaN force makes every residual NaN and every trial fail
+    monkeypatch.setattr(jko, "pair_force", lambda W, x, m, cone: np.full(x.size, np.nan))
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004)
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    record = json.loads(err, parse_constant=lambda name: pytest.fail(f"{name} in {err}"))
+    assert record["residual"] is None
+    assert record["residuals"] == [None]
+
+
+def test_run_near_linear_power_from_dirac(tmp_path):
+    # a positive power with p near 1 has curvature unbounded at ties
+    cfg = dict(REPULSIVE_DIRAC_RUN, tau=0.025, n=2, t_end=0.1)
+    cfg["potential"] = {"eta": -1.0, "beta": 0.0, "terms": [[2.0, 1.125]]}
+    out = tmp_path / "o"
+    assert main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out), "--quiet"]) == 0
+    assert (out / "trajectory.csv").exists()
 
 
 def test_ot_unbalanced_rejected(tmp_path, capsys):

@@ -23,8 +23,8 @@ from wgflow import (
     velocity_field,
     velocity_profile,
 )
-from oracles import central_difference, dense_pair_sums
-from wgflow.potential import pair_energy, pair_force
+from oracles import central_difference, dense_pair_hessian, dense_pair_sums
+from wgflow.potential import pair_energy, pair_force, pair_hessian
 
 CUSP_REPULSIVE = Potential(eta=-1.0)
 CUSP_ATTRACTIVE = Potential(eta=1.0)
@@ -227,19 +227,22 @@ def _pair_case(draw):
     terms = tuple(draw(st.lists(power, max_size=2)))
     W = Potential(eta=draw(_coef), beta=draw(_coef), terms=terms)
     shift = draw(st.integers(-16000, 16000)) / 16.0
-    return W, x, raw / raw.sum(), shift, draw(st.integers(1, 40))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=x.size, max_size=x.size)))
+    return W, x, raw / raw.sum(), shift, draw(st.integers(1, 40)), v
 
 
 @settings(max_examples=300, deadline=None)
 @given(_pair_case())
 def test_pair_kernel_matches_dense_reference(case):
-    W, x, m, shift, block = case
+    W, x, m, shift, block, v = case
     # a small block budget sends the power terms through the multi-block path
     with mock.patch.object(wgflow.potential, "PAIR_BLOCK", block):
         energy = pair_energy(W, x, m)
         forces = [pair_force(W, x, m, cone=c) for c in (True, False)]
         shifted = [pair_energy(W, x + shift, m)]
         shifted += [pair_force(W, x + shift, m, cone=c) for c in (True, False)]
+        hessian = pair_hessian(W, x, m, v)
+        moved_hessian = pair_hessian(W, x + shift, m, v)
     ref_energy, ref_cone, ref_excl = dense_pair_sums(W.eta, W.beta, W.terms, x, m)
     scale = 1.0 + abs(W.eta) + abs(W.beta) + sum(abs(c) for c, _ in W.terms)
     scale *= 1.0 + (x[-1] - x[0]) ** 2
@@ -251,6 +254,10 @@ def test_pair_kernel_matches_dense_reference(case):
         assert np.max(np.abs(moved - force)) <= tol
         # equal and opposite pair forces: the centre of mass does not move
         assert abs(m @ force) <= tol
+    # ties, with W''(0) infinite for p < 2, get weight 0
+    ref_hessian, size = dense_pair_hessian(W.beta, W.terms, x, m, v)
+    assert np.all(np.abs(hessian - ref_hessian) <= 1e-12 * (1.0 + size))
+    assert np.array_equal(moved_hessian, hessian)
 
 
 def test_potential_json_round_trip():

@@ -34,7 +34,10 @@ from .transport import w2_quantile
 
 STEP_BOUND_FACTOR = 12.0
 BACKTRACK_HALVINGS = 80
-# relative residual at which conjugate gradients stop on a Newton system
+# Relative residual at which conjugate gradients stop on a Newton system.  A
+# looser stop costs Newton iterations, a tighter one Hessian-vector passes: 10
+# steps of |x|^1.5 at n=400 took 41 iterations and 41 passes at 1e-1, 27 and
+# 45 at 1e-3, 25 and 60 at 1e-6.
 CG_RTOL = 1e-3
 
 
@@ -53,7 +56,7 @@ class ConvergenceFailure(RuntimeError):
         last: QuantileGrid,
         residual: float,
         step_index: int | None = None,
-        residuals=(),
+        residuals: list[float] | tuple[float, ...] = (),
     ):
         super().__init__(message)
         self.last = last

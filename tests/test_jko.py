@@ -285,6 +285,10 @@ def test_step_output_meets_stopping_rule(W):
         cfg = JkoConfig(tau=tau, n=prev.n, t_end=1.0)
         out = jko_step(W, prev, cfg)
         assert _prox_residual(W, prev, out, tau) <= cfg.inner_tol
+        # the check is made at the grid returned: under a tolerance that
+        # prev already meets, prev comes back unmoved
+        loose = JkoConfig(tau=tau, n=prev.n, t_end=1.0, inner_tol=1e300)
+        assert np.array_equal(jko_step(W, prev, loose).values, prev.values)
 
 
 def test_convergence_failure_carries_state():
@@ -293,6 +297,7 @@ def test_convergence_failure_carries_state():
         jko_step(QUADRATIC, to_quantile_grid(Measure1D.uniform(-1, 1), 16), cfg)
     assert info.value.last.n == 16
     assert info.value.residual > 0
+    assert info.value.residuals == (info.value.residual,)  # one per iteration
 
 
 def test_backtracking_failure_raises(monkeypatch):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jko import FlowTrajectory
-from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, quantile_pieces
-from .potential import Potential, velocity_profile
-from .transport import w2_quantile
+from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, eval_pieces, quantile_pieces
+from .potential import Potential, pair_force
+from .transport import _row_w2
 
 KIND_REPULSIVE = "repulsive_cusp_diffusion"
 KIND_ATTRACTIVE = "attractive_cusp_collapse"
@@ -398,35 +398,37 @@ def weak_residual(traj: FlowTrajectory, W: Potential, test_fns: list[SpaceTimeBu
     Evaluates ``| integral of (d_t phi + v d_x phi) d(mu_t) dt
     + integral of phi(., t0) d(mu_0) |`` with midpoint quadrature in time and
     the quantile-grid expectation in space, where ``v`` is the tie-excluding
-    pairwise velocity of the midpoint grid.
+    pairwise velocity of the midpoint grid.  Midpoint grids and each bump's
+    space factor are formed for a block of rows of ``traj.grids`` at a time,
+    velocities one row at a time; the per-step weights are summed in step
+    order.
     """
-    times = traj.times
+    times, grids, n = traj.times, traj.grids, traj.grid_size
     t_mid = 0.5 * (times[:-1] + times[1:])
+    dt = np.diff(times)
+    m = np.full(n, 1.0 / n)
     time_factors = [SpaceTimeBump._factor(t_mid, phi.t_center, phi.t_radius) for phi in test_fns]
-    acc = [0.0] * len(test_fns)
-    for k in range(times.size - 1):
-        gm = QuantileGrid(0.5 * (traj.states[k].values + traj.states[k + 1].values))
-        v = velocity_profile(W, gm)
-        for j, (phi, (h, dh)) in enumerate(zip(test_fns, time_factors)):
-            g, dg = SpaceTimeBump._factor(gm.values, phi.x_center, phi.x_radius)
-            integrand = g * dh[k] + v * (dg * h[k])
-            acc[j] += (times[k + 1] - times[k]) * float(np.mean(integrand))
+    # column 0 holds the 0.0 each sum starts from
+    weights = np.zeros((len(test_fns), times.size))
+    for rows in _row_chunks(dt.size, n):
+        gm = 0.5 * (grids[:-1][rows] + grids[1:][rows])
+        v = np.empty_like(gm)
+        for i, row in enumerate(gm):
+            v[i] = -pair_force(W, row, m, cone=False)
+        for w, phi, (h, dh) in zip(weights, test_fns, time_factors):
+            g, dg = SpaceTimeBump._factor(gm, phi.x_center, phi.x_radius)
+            integrand = g * dh[rows, None] + v * (dg * h[rows, None])
+            w[1:][rows] = dt[rows] * np.mean(integrand, axis=1)
     worst = 0.0
-    for phi, a in zip(test_fns, acc):
-        g0, _ = SpaceTimeBump._factor(traj.states[0].values, phi.x_center, phi.x_radius)
+    for phi, acc in zip(test_fns, np.cumsum(weights, axis=1)[:, -1]):
+        g0, _ = SpaceTimeBump._factor(grids[0], phi.x_center, phi.x_radius)
         h0, _ = SpaceTimeBump._factor(times[0], phi.t_center, phi.t_radius)
-        worst = max(worst, abs(a + float(np.mean(g0 * h0))))
+        worst = max(worst, abs(acc + float(np.mean(g0 * h0))))
     return worst
 
 
 def metric_derivative_estimate(traj: FlowTrajectory) -> np.ndarray:
     """Per-step speed W2(X_k, X_{k+1}) / (t_{k+1} - t_k)."""
-    if len(traj.states) < 2:
+    if traj.times.size < 2:
         raise DomainError("metric derivative needs at least two states")
-    taus = np.diff(traj.times)
-    return np.array(
-        [
-            w2_quantile(traj.states[k], traj.states[k + 1]) / taus[k]
-            for k in range(taus.size)
-        ]
-    )
+    return _row_w2(traj.grids[:-1], traj.grids[1:]) / np.diff(traj.times)

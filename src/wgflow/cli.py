@@ -235,15 +235,13 @@ class ExperimentConfig:
 
 
 def _write_grid_trajectory(path: str, traj: FlowTrajectory):
-    # the ",i,s_i," columns depend on the grid size only
-    columns: dict[int, list[str]] = {}
+    n = traj.grid_size
+    # the ",i,s_i," columns are the same for every state
+    columns = [f",{i},{s}," for i, s in enumerate(_fmts((np.arange(n) + 0.5) / n))]
     with open(path, "w", newline="") as fh:
         fh.write("t,i,s_i,X_i\n")
-        for ts, grid in zip(_fmts(traj.times), traj.states):
-            if grid.n not in columns:
-                columns[grid.n] = [f",{i},{s}," for i, s in enumerate(_fmts(grid.nodes))]
-            rows = zip(columns[grid.n], _fmts(grid.values))
-            fh.writelines(ts + c + x + "\n" for c, x in rows)
+        for ts, row in zip(_fmts(traj.times), traj.grids):
+            fh.writelines(ts + c + x + "\n" for c, x in zip(columns, _fmts(row)))
 
 
 def _write_particle_trajectory(path: str, history: list[ParticleState]):
@@ -255,7 +253,7 @@ def _write_particle_trajectory(path: str, history: list[ParticleState]):
 
 
 def _write_summary(path: str, traj: FlowTrajectory):
-    speeds = metric_derivative_estimate(traj) if len(traj.states) > 1 else np.array([])
+    speeds = metric_derivative_estimate(traj) if traj.times.size > 1 else np.array([])
     # the first state has no step behind it: its speed and cost are empty
     rows = zip(
         _fmts(traj.times),
@@ -274,8 +272,10 @@ def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
     sol = ExactSolution(kind=kind, init=cfg.initial, eta_abs=abs(pot.eta))
     steps = max(1, round(cfg.t_end / cfg.tau))
     times = np.arange(steps + 1) * (cfg.t_end / steps)
-    states = [exact_grid(sol, float(t), cfg.n) for t in times]
-    return _trajectory(pot, times, states)
+    grids = np.empty((steps + 1, cfg.n))
+    for k, t in enumerate(times.tolist()):
+        grids[k] = exact_grid(sol, t, cfg.n).values
+    return _trajectory(pot, times, grids)
 
 
 def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
@@ -289,8 +289,8 @@ def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
             np.max(evi_residual(cfg.potential, traj, sigma))
         )
     if cfg.diagnostics.get("weak_residual", False):
-        lo = min(float(s.values.min()) for s in traj.states)
-        hi = max(float(s.values.max()) for s in traj.states)
+        lo = float(traj.grids.min())
+        hi = float(traj.grids.max())
         pad = 0.1 * max(hi - lo, 1.0)
         t1 = float(traj.times[-1])
         bumps = default_bump_library((lo - pad, hi + pad), (0.05 * t1, 0.95 * t1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, Measure1D, QuantileGrid, to_quantile_grid
+from .measures import DomainError, Measure1D, QuantileGrid, _check_grids, _equal_runs, to_quantile_grid
 from .potential import (
     ConvexityCertificate,
     Potential,
@@ -30,7 +30,7 @@ from .potential import (
     pair_force,
     pair_hessian,
 )
-from .transport import w2_quantile
+from .transport import _row_w2
 
 STEP_BOUND_FACTOR = 12.0
 BACKTRACK_HALVINGS = 80
@@ -110,48 +110,57 @@ class JkoConfig:
         return int(k)
 
 
+def _squares(w: np.ndarray) -> np.ndarray:
+    """``w ** 2`` squared as Python floats, as ``w2_quantile(a, b) ** 2`` is:
+    numpy's array square rounds some entries differently."""
+    return np.array([x**2 for x in w.tolist()])
+
+
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """Time-indexed grid states with per-step diagnostics.
 
-    ``energies[k]`` is the interaction energy of ``states[k]`` and
-    ``step_costs[k]`` the squared step distance over twice the step length,
-    ``W2^2(states[k], states[k+1]) / (2 (times[k+1]-times[k]))``.
+    ``grids`` is a read-only ``(K+1, n)`` array whose row k is the quantile
+    grid at ``times[k]``; ``state(k)`` wraps one row as a ``QuantileGrid``.
+    ``energies[k]`` is the interaction energy of row k and ``step_costs[k]``
+    the squared step distance over twice the step length,
+    ``W2^2(grids[k], grids[k+1]) / (2 (times[k+1]-times[k]))``.  An array
+    handed in as C-contiguous float64 is frozen, not copied.
     """
 
     times: np.ndarray
-    states: tuple[QuantileGrid, ...]
+    grids: np.ndarray
     energies: np.ndarray
     step_costs: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).copy()
-        e = np.asarray(self.energies, dtype=float).copy()
-        c = np.asarray(self.step_costs, dtype=float).copy()
-        if not (len(self.states) == t.size == e.size == c.size + 1):
+        g = np.ascontiguousarray(self.grids, dtype=float)
+        t, e, c = (np.array(a, dtype=float) for a in (self.times, self.energies, self.step_costs))
+        _check_grids(g)
+        if not (g.shape[0] == t.size == e.size == c.size + 1):
             raise DomainError("trajectory arrays have inconsistent lengths")
-        for arr in (t, e, c):
+        for name, arr in (("times", t), ("grids", g), ("energies", e), ("step_costs", c)):
             arr.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "step_costs", c)
-        object.__setattr__(self, "states", tuple(self.states))
+            object.__setattr__(self, name, arr)
 
     @property
     def grid_size(self) -> int:
-        return self.states[0].n
+        return self.grids.shape[1]
+
+    def state(self, k: int) -> QuantileGrid:
+        """Row ``k`` of ``grids`` as a ``QuantileGrid``."""
+        return QuantileGrid(self.grids[k])
 
 
-def _trajectory(W: Potential, times: np.ndarray, states: list[QuantileGrid]) -> FlowTrajectory:
-    """FlowTrajectory of finished states: their energies, and step costs
+def _trajectory(W: Potential, times: np.ndarray, grids: np.ndarray) -> FlowTrajectory:
+    """FlowTrajectory of finished grids: their energies, and step costs
     ``W2^2 / (2 span)`` that are 0 over a span of length 0."""
     spans = np.diff(times)
-    costs = [
-        w2_quantile(a, b) ** 2 / (2.0 * span) if span > 0.0 else 0.0
-        for a, b, span in zip(states, states[1:], spans)
-    ]
-    energies = [interaction_energy(W, g) for g in states]
-    return FlowTrajectory(times, tuple(states), np.array(energies), np.array(costs))
+    squares = _squares(_row_w2(grids[:-1], grids[1:]))
+    costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
+    m = np.full(grids.shape[1], 1.0 / grids.shape[1])
+    energies = [pair_energy(W, row, m) for row in grids]
+    return FlowTrajectory(times, grids, np.array(energies), costs)
 
 
 def _pava(y: np.ndarray) -> np.ndarray:
@@ -192,13 +201,11 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
     projection of ``xb + dz``, expanded to the grid.
     """
     n = x.size
-    gaps = np.diff(y)
-    if np.all(gaps > 0.0):  # every block a singleton
+    if np.all(np.diff(y) > 0.0):  # every block a singleton
         sizes = None
         xb, gb, mb = x, g, np.full(n, 1.0 / n)
     else:
-        starts = np.flatnonzero(np.concatenate(([1.0], gaps)))
-        sizes = np.diff(np.append(starts, n))
+        starts, sizes = _equal_runs(y)
         xb = np.add.reduceat(x, starts) / sizes
         gb = np.add.reduceat(g, starts) / sizes
         mb = sizes / n
@@ -328,14 +335,17 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     cert = convexity_certificate(W)
     cfg.validate_step_bound(cert)
     steps = cfg.step_count()
-    states = [to_quantile_grid(init, cfg.n)]
+    grids = np.empty((steps + 1, cfg.n))
+    state = to_quantile_grid(init, cfg.n)
+    grids[0] = state.values
     for k in range(steps):
         try:
-            states.append(jko_step(W, states[-1], cfg, cert))
+            state = jko_step(W, state, cfg, cert)
         except ConvergenceFailure as failure:
             failure.step_index = k
             raise
-    return _trajectory(W, np.arange(steps + 1) * cfg.tau, states)
+        grids[k + 1] = state.values
+    return _trajectory(W, np.arange(steps + 1) * cfg.tau, grids)
 
 
 def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.ndarray:
@@ -348,7 +358,7 @@ def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.
     if sigma.n != traj.grid_size:
         raise DomainError("reference grid size does not match the trajectory")
     e_sigma = interaction_energy(W, sigma)
-    dists = np.array([w2_quantile(s, sigma) ** 2 for s in traj.states])
+    dists = _squares(_row_w2(traj.grids, sigma.values))
     taus = np.diff(traj.times)
     return (
         np.diff(dists) / (2.0 * taus)
@@ -363,8 +373,6 @@ def energy_identity_residual(W: Potential, traj: FlowTrajectory) -> float:
     ``|sum_k 2 step_costs[k] - (E[X_0] - E[X_K])|``, which vanishes as the
     step size shrinks at fixed horizon.
     """
-    if len(traj.states) == 0:
-        raise DomainError("empty trajectory")
     if traj.step_costs.size == 0:
         return 0.0
     drop = traj.energies[0] - traj.energies[-1]

@@ -17,10 +17,31 @@ from typing import Callable, Iterable
 import numpy as np
 
 MASS_TOL = 1e-12
+# Largest number of grid values a row-wise pass over an array of grids (one
+# grid per row) holds in one temporary.
+ROW_CHUNK = 1 << 12
 
 
 class DomainError(ValueError):
     """An operation was invoked outside its stated domain."""
+
+
+def _row_chunks(rows: int, n: int):
+    """Slices of ``range(rows)`` holding at most ``ROW_CHUNK`` values of rows
+    of length ``n``, one row when a row alone is longer."""
+    step = max(1, ROW_CHUNK // n)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _check_grids(v: np.ndarray):
+    """Refuse ``v`` unless it is a nonempty 2-D array of finite nondecreasing rows."""
+    if v.ndim != 2 or v.size == 0:
+        raise DomainError("quantile grids need at least one grid of at least one value")
+    for rows in _row_chunks(*v.shape):
+        if not np.all(np.isfinite(v[rows])):
+            raise DomainError("quantile grid values must be finite")
+        if np.any(v[rows, 1:] < v[rows, :-1]):
+            raise DomainError("quantile grid values must be nondecreasing")
 
 
 def _as_float(x) -> float:
@@ -111,12 +132,7 @@ class QuantileGrid:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        if v.size < 1:
-            raise DomainError("quantile grid needs at least one value")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("quantile grid values must be finite")
-        if np.any(np.diff(v) < 0.0):
-            raise DomainError("quantile grid values must be nondecreasing")
+        _check_grids(v[None])
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -211,19 +227,16 @@ def to_quantile_grid(m: Measure1D, n: int) -> QuantileGrid:
     return QuantileGrid(eval_pieces(quantile_pieces(m), (np.arange(n) + 0.5) / n))
 
 
+def _equal_runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices and lengths of the runs of equal values in sorted ``v``."""
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    return starts, np.diff(np.append(starts, v.size))
+
+
 def from_quantile_grid(g: QuantileGrid) -> Measure1D:
     """Atomic measure with mass 1/n per grid value, exactly equal values merged."""
-    v = g.values
-    n = g.n
-    atoms = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[j + 1] == v[i]:
-            j += 1
-        atoms.append((float(v[i]), (j - i + 1) / n))
-        i = j + 1
-    return Measure1D(atoms=tuple(atoms))
+    starts, sizes = _equal_runs(g.values)
+    return Measure1D(atoms=tuple(zip(g.values[starts].tolist(), (sizes / g.n).tolist())))
 
 
 def expectation(g: QuantileGrid, f: Callable[[float], float]) -> float:

@@ -153,5 +153,7 @@ def quantile_trajectory(W: Potential, history: list[ParticleState], n: int) -> F
     Useful for comparing particle runs with quantile flows; step costs use
     the actual substep lengths, which are nonuniform around collision events.
     """
-    states = [to_quantile_grid(st.as_measure(), n) for st in history]
-    return _trajectory(W, np.array([st.time for st in history]), states)
+    grids = np.empty((len(history), n))
+    for k, st in enumerate(history):
+        grids[k] = to_quantile_grid(st.as_measure(), n).values
+    return _trajectory(W, np.array([st.time for st in history]), grids)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, Measure1D, QuantileGrid, piece_index, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, piece_index, quantile_pieces
 
 BALANCE_TOL = 1e-12
 MARGINAL_TOL = 1e-9
@@ -141,6 +141,16 @@ def w2_quantile(g1: QuantileGrid, g2: QuantileGrid) -> float:
         raise DomainError(f"grid sizes differ: {g1.n} vs {g2.n}")
     d = g1.values - g2.values
     return float(np.sqrt(np.mean(d * d)))
+
+
+def _row_w2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry k is ``w2_quantile`` between row k of ``a`` and row k of ``b``,
+    or ``b`` itself when it is one row."""
+    out = np.empty(a.shape[0])
+    for rows in _row_chunks(*a.shape):
+        d = a[rows] - (b if b.ndim == 1 else b[rows])
+        out[rows] = np.sqrt(np.mean(d * d, axis=1))
+    return out
 
 
 def w2_exact_discrete(m1: Measure1D, m2: Measure1D) -> float:

@@ -73,8 +73,8 @@ def test_criterion_1_dirac_diffusion(dirac_run, dirac_run_half):
     cfg, traj = dirac_run
     _, traj_half = dirac_run_half
     target = QuantileGrid(2.0 * _nodes(cfg.n) - 1.0)
-    err = w2_quantile(traj.states[-1], target)
-    err_half = w2_quantile(traj_half.states[-1], target)
+    err = w2_quantile(traj.state(-1), target)
+    err_half = w2_quantile(traj_half.state(-1), target)
     assert err <= 2e-2
     assert _halves(err, err_half)
     print(f"PASS criterion 1: dirac diffusion error {err:.2e} (tau/2: {err_half:.2e})")
@@ -94,7 +94,7 @@ def test_criterion_2_two_and_three_dirac_blocks():
             cfg = JkoConfig(tau=tau, n=200, t_end=t_end)
             traj = run_flow(REPULSIVE, init, cfg)
             errs.append(
-                w2_quantile(traj.states[-1], exact_grid(sol, t_end, cfg.n))
+                w2_quantile(traj.state(-1), exact_grid(sol, t_end, cfg.n))
             )
         assert errs[0] <= 2e-2
         assert _halves(errs[0], errs[1])
@@ -111,7 +111,7 @@ def test_criterion_3_finite_time_collapse():
     assert merged.time == pytest.approx(2.0, abs=dt)
     cfg = JkoConfig(tau=1e-3, n=200, t_end=3.0)
     traj = run_flow(ATTRACTIVE, Measure1D(atoms=((-1.0, 0.5), (1.0, 0.5))), cfg)
-    spread = traj.states[-1].values.max() - traj.states[-1].values.min()
+    spread = traj.state(-1).values.max() - traj.state(-1).values.min()
     assert spread <= 1e-6
     print(
         f"PASS criterion 3: particles merge at t={merged.time:.6f}, "
@@ -291,9 +291,9 @@ def test_criterion_12_center_of_mass(dirac_run):
     )
     worst = 0.0
     for traj in runs:
-        start = float(np.mean(traj.states[0].values))
-        for g, t in zip(traj.states, traj.times):
-            drift = abs(float(np.mean(g.values)) - start) / max(float(t), 1.0)
+        start = float(np.mean(traj.state(0).values))
+        for k, t in enumerate(traj.times):
+            drift = abs(float(np.mean(traj.state(k).values)) - start) / max(float(t), 1.0)
             worst = max(worst, drift)
             assert drift <= 1e-9
     print(f"PASS criterion 12: center-of-mass drift at most {worst:.1e} per unit time")

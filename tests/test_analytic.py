@@ -288,8 +288,8 @@ def test_oracle_vs_jko_all_initial_conditions():
             traj = run_flow(W, init, cfg)
             sol = ExactSolution(kind, init, 1.0)
             worst = max(
-                w2_quantile(state, exact_grid(sol, float(t), cfg.n))
-                for state, t in zip(traj.states, traj.times)
+                w2_quantile(traj.state(k), exact_grid(sol, float(t), cfg.n))
+                for k, t in enumerate(traj.times)
             )
             assert worst <= 30 * cfg.tau
 
@@ -302,8 +302,8 @@ def test_oracle_vs_jko_error_stable_under_halving():
         cfg = JkoConfig(tau=tau, n=80, t_end=1.0)
         traj = run_flow(ATTRACTIVE, init, cfg)
         worst = max(
-            w2_quantile(state, exact_grid(sol, float(t), cfg.n))
-            for state, t in zip(traj.states, traj.times)
+            w2_quantile(traj.state(k), exact_grid(sol, float(t), cfg.n))
+            for k, t in enumerate(traj.times)
         )
         errs.append(worst / tau)
     # the constant in the O(tau) bound does not blow up under halving
@@ -315,9 +315,9 @@ def test_metric_derivative_stationary():
     traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
     frozen = type(traj)(
         traj.times,
-        tuple([traj.states[0]] * len(traj.states)),
-        np.full(len(traj.states), traj.energies[0]),
-        np.zeros(len(traj.states) - 1),
+        np.repeat(traj.grids[:1], traj.times.size, axis=0),
+        np.full(traj.times.size, traj.energies[0]),
+        np.zeros(traj.times.size - 1),
     )
     assert np.allclose(metric_derivative_estimate(frozen), 0.0)
 

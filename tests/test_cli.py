@@ -1,5 +1,6 @@
 """Command-line interface: runs, validation failures, w2 and ot commands."""
 
+import hashlib
 import json
 import os
 
@@ -330,3 +331,69 @@ def test_ot_unbalanced_rejected(tmp_path, capsys):
     assert main(["ot", _write(tmp_path / "u.json", payload)]) == 2
     capsys.readouterr()
 
+
+
+GOLDEN_DIAGNOSTICS = {
+    "energy_identity": True,
+    "evi_sigma": {"pieces": [[-1.6875, 1.6875, 1.0]]},
+    "weak_residual": True,
+}
+GOLDEN_RUNS = {
+    "jko": {
+        "potential": {"eta": -1.0, "terms": [[0.5, 1.5]]},
+        "initial": {"atoms": [[-0.5, 0.5], [0.5, 0.5]]},
+        "method": "jko",
+        "tau": 0.01,
+        "n": 16,
+        "t_end": 0.2,
+        "diagnostics": GOLDEN_DIAGNOSTICS,
+    },
+    "particles": {
+        "potential": {"eta": 1.0},
+        "initial": {"atoms": [[-1.0, 0.25], [0.0, 0.25], [1.0, 0.5]]},
+        "method": "particles",
+        "dt": 0.05,
+        "t_end": 2.0,
+        "n": 16,
+        "diagnostics": GOLDEN_DIAGNOSTICS,
+    },
+    "exact": {
+        "potential": {"eta": 1.0},
+        "initial": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+        "method": "exact",
+        "tau": 0.05,
+        "n": 16,
+        "t_end": 2.5,
+        "diagnostics": GOLDEN_DIAGNOSTICS,
+    },
+}
+# sha256 of trajectory.csv, summary.csv and diagnostics.json
+GOLDEN_SHA256 = {
+    "jko": (
+        "5309f4fb6ae08000f4befa8ac132fe5ed19e42db057322e07e27af15498fd710",
+        "a59b9e05da2dbc2516e633b95b7fd07ecaed79826c58656350c6db43b34dd282",
+        "80c1a13009fd862bc3903bcd9c13c8363f91dff61aec7be36b6fe2472198a49d",
+    ),
+    "particles": (
+        "368ee867ece4c15da9e552aaef49ee08a89d365f8e138968944ec4b8f9dcd90d",
+        "5fa740ad1fad72592547f1d1775c9f5b862599438a7201ad7bafbae6b84fbb73",
+        "0ab0db5fded3710064eddc80a8484c03d3c9f3b6c71ad871b6844ea257c969f3",
+    ),
+    "exact": (
+        "0beb483bcbeedd9f956cb7de925de9bf0146b77c85103aa16646c71b3886a0dd",
+        "15f0ffb4c34d5b5919abb919eb1bd837a43e44a0386e8fafe2f817a557f6a3b8",
+        "2eddd598d007985a32d6ee173841998bedbd8cdc20ac7a5cf9a984fd825fd103",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_RUNS))
+def test_run_outputs_are_golden(tmp_path, method):
+    config_path = _write(tmp_path / "config.json", GOLDEN_RUNS[method])
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out), "--quiet"]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trajectory.csv", "summary.csv", "diagnostics.json")
+    )
+    assert digests == GOLDEN_SHA256[method]

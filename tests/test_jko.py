@@ -8,22 +8,26 @@ from hypothesis import strategies as st
 from wgflow import (
     ConvergenceFailure,
     DomainError,
+    FlowTrajectory,
     JkoConfig,
     Measure1D,
     Potential,
     QuantileGrid,
     convexity_certificate,
+    default_bump_library,
     energy_identity_residual,
     energy_subgradient,
     evi_residual,
     interaction_energy,
     isotonic_project,
     jko_step,
+    metric_derivative_estimate,
     run_flow,
     to_quantile_grid,
     w2_exact_discrete,
     w2_quantile,
     from_quantile_grid,
+    weak_residual,
 )
 from oracles import lattice_isotonic
 from wgflow.potential import curvature_bound
@@ -322,15 +326,15 @@ def test_flow_dirac_diffusion():
     cfg = JkoConfig(tau=1e-3, n=100, t_end=1.0)
     traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
     target = QuantileGrid(2.0 * _nodes(100) - 1.0)
-    assert w2_quantile(traj.states[-1], target) <= 2 * cfg.tau
-    assert len(traj.states) == 1001
+    assert w2_quantile(traj.state(-1), target) <= 2 * cfg.tau
+    assert traj.grids.shape[0] == 1001
     assert np.all(np.diff(traj.energies) <= 1e-12)
 
 
 def test_flow_total_collapse():
     cfg = JkoConfig(tau=2e-3, n=64, t_end=3.0)
     traj = run_flow(ATTRACTIVE, Measure1D(atoms=((-1.0, 0.5), (1.0, 0.5))), cfg)
-    final = traj.states[-1].values
+    final = traj.state(-1).values
     assert final.max() - final.min() <= 1e-6
     assert abs(final[0]) <= 1e-9
     assert np.all(np.diff(traj.energies) <= 1e-10)
@@ -338,8 +342,8 @@ def test_flow_total_collapse():
     collapsed_at = traj.times[
         next(
             k
-            for k, g in enumerate(traj.states)
-            if g.values.max() - g.values.min() <= 1e-9
+            for k, g in enumerate(traj.grids)
+            if g.max() - g.min() <= 1e-9
         )
     ]
     assert collapsed_at == pytest.approx(2.0, abs=0.05)
@@ -352,7 +356,7 @@ def test_flow_two_dirac_blocks():
     traj = run_flow(REPULSIVE, init, cfg)
     z = _nodes(100)
     expected = np.where(z < 0.5, x1, x2) + 1.0 * (2 * z - 1)
-    assert w2_quantile(traj.states[-1], QuantileGrid(expected)) <= 2 * cfg.tau
+    assert w2_quantile(traj.state(-1), QuantileGrid(expected)) <= 2 * cfg.tau
 
 
 def test_step_monotonicity_inequality():
@@ -367,9 +371,9 @@ def test_center_of_mass_conserved():
     cfg = JkoConfig(tau=1e-3, n=80, t_end=0.5)
     init = Measure1D(atoms=((-0.3, 0.25), (0.1, 0.5), (0.9, 0.25)))
     traj = run_flow(REPULSIVE, init, cfg)
-    first = np.mean(traj.states[0].values)
-    for g, t in zip(traj.states, traj.times):
-        assert abs(np.mean(g.values) - first) <= 1e-9 * max(t, 1.0)
+    first = np.mean(traj.state(0).values)
+    for k, t in enumerate(traj.times):
+        assert abs(np.mean(traj.state(k).values) - first) <= 1e-9 * max(t, 1.0)
 
 
 def test_atoms_leave_immediately_under_repulsive_cusp():
@@ -391,7 +395,7 @@ def test_grid_refinement_first_order():
     for n in (50, 100, 200):
         cfg = JkoConfig(tau=tau, n=n, t_end=t_end)
         traj = run_flow(REPULSIVE, init, cfg)
-        finals[n] = from_quantile_grid(traj.states[-1])
+        finals[n] = from_quantile_grid(traj.state(-1))
     d1 = w2_exact_discrete(finals[50], finals[100])
     d2 = w2_exact_discrete(finals[100], finals[200])
     assert d2 <= d1 / 1.5
@@ -402,7 +406,7 @@ def test_evi_own_state_telescopes():
     cfg = JkoConfig(tau=2e-3, n=40, t_end=0.1)
     traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
     for k in (0, 10, 30):
-        res = evi_residual(REPULSIVE, traj, traj.states[k])
+        res = evi_residual(REPULSIVE, traj, traj.state(k))
         assert res[max(k - 1, 0)] <= 1e-8
 
 
@@ -473,3 +477,91 @@ def test_certificate_does_not_depend_on_radius(W, values):
 
     # a state-sized certificate and run_flow's radius-10 one give one step
     assert outcome(None) == outcome(convexity_certificate(W))
+
+
+# float.hex of the row-wise diagnostics of a small cusp-plus-power flow.  The
+# reference sigma gives two W2 values whose square as a Python float differs
+# from numpy's array square, so a change of rounding there moves these bits.
+PINNED_STEP_COSTS = (
+    "0x1.d3d36db6e38e4p-12", "0x1.c166035ba933ap-12", "0x1.b349ae3ef4ab2p-12",
+    "0x1.a76f31d7fc9dfp-12", "0x1.9d094f0986e1fp-12", "0x1.93ae514d20bf7p-12",
+    "0x1.8b1f2ee81d90dp-12", "0x1.8332adc0891bfp-12", "0x1.7bcc0fd59fd05p-12",
+    "0x1.74d6542332dccp-12", "0x1.6e4190850d5d8p-12", "0x1.68015c1a57e2cp-12",
+    "0x1.620bcf1f51951p-12", "0x1.5c58d9ef75cecp-12", "0x1.56e1d171329c4p-12",
+    "0x1.51a11d9cacd98p-12", "0x1.4c91fe8e0bef0p-12", "0x1.47b060f18aa8bp-12",
+    "0x1.42f8bd28a76e0p-12", "0x1.3e67fe184d697p-12",
+)
+PINNED_SPEEDS = (
+    "0x1.31e25ea7b5942p-2", "0x1.2bcca7645888ap-2", "0x1.270e20b1b8a37p-2",
+    "0x1.2302951362a2dp-2", "0x1.1f6a30ecc5ff8p-2", "0x1.1c24218a4758ap-2",
+    "0x1.191cdb48432b7p-2", "0x1.16479a9305a1ep-2", "0x1.139b7cb5d347ep-2",
+    "0x1.111205d7feb33p-2", "0x1.0ea64e2900aa6p-2", "0x1.0c5483d8bc6dep-2",
+    "0x1.0a199b8cdb49ep-2", "0x1.07f31beefbc33p-2", "0x1.05def9d3f44b0p-2",
+    "0x1.03db7efb02451p-2", "0x1.01e737cccff4dp-2", "0x1.0000e5ddf2f6cp-2",
+    "0x1.fc4eeb89be207p-3", "0x1.f8b3ee9f966d8p-3",
+)
+PINNED_EVI = (
+    "-0x1.10f3688c55461p-2", "-0x1.0becfcda83ab2p-2", "-0x1.07a7da8003480p-2",
+    "-0x1.03cb6ad4ebf30p-2", "-0x1.0034deee1616cp-2", "-0x1.f9a43b68744e4p-3",
+    "-0x1.f33081dd18e2ap-3", "-0x1.ed002a7183a6cp-3", "-0x1.e7090fdc0266ep-3",
+    "-0x1.e143b39d97ce5p-3", "-0x1.dbaa5800b8b3cp-3", "-0x1.d63876090dfc6p-3",
+    "-0x1.d0ea65f3aabe0p-3", "-0x1.cbbd25481985cp-3", "-0x1.c6ae2f1458e75p-3",
+    "-0x1.c1bb5fcab5b84p-3", "-0x1.bce2e0d57e474p-3", "-0x1.b823196e61092p-3",
+    "-0x1.b37aa325ca35ap-3", "-0x1.aee8410e7891cp-3",
+)
+PINNED_WEAK = "0x1.2b4242fb53438p-10"
+
+
+def test_row_wise_diagnostics_keep_their_bits():
+    W = Potential(eta=-1.0, terms=((0.5, 1.5),))
+    init = Measure1D(atoms=((-0.5, 0.5), (0.5, 0.5)))
+    traj = run_flow(W, init, JkoConfig(tau=0.01, n=16, t_end=0.2))
+    sigma = to_quantile_grid(Measure1D.uniform(-1.6875, 1.6875), 16)
+    bumps = default_bump_library((-2.0, 2.0), (0.01, 0.19))
+
+    def hexes(values):
+        return tuple(float(v).hex() for v in values)
+
+    assert hexes(traj.step_costs) == PINNED_STEP_COSTS
+    assert hexes(metric_derivative_estimate(traj)) == PINNED_SPEEDS
+    assert hexes(evi_residual(W, traj, sigma)) == PINNED_EVI
+    assert float(weak_residual(traj, W, bumps)).hex() == PINNED_WEAK
+
+
+def _small_trajectory():
+    grids = np.array([[0.0, 1.0, 2.0], [0.0, 1.5, 2.5]])
+    return grids, np.array([0.0, 0.1]), np.array([1.0, 0.5]), np.array([0.2])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("grids", np.array([[0.0, 1.0, 2.0], [0.0, 2.5, 1.5]])),  # a decreasing row
+        ("grids", np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.5]])),
+        ("grids", np.array([[0.0, 1.0, 2.0], [0.0, 1.5, np.inf]])),
+        ("grids", np.empty((0, 3))),
+        ("grids", np.array([0.0, 1.0, 2.0])),  # one state not held as a row
+        ("times", np.array([0.0, 0.1, 0.2])),
+        ("energies", np.array([1.0])),
+        ("step_costs", np.array([0.2, 0.1])),
+    ],
+)
+def test_flow_trajectory_refuses_bad_arrays(field, value):
+    grids, times, energies, step_costs = _small_trajectory()
+    args = dict(times=times, grids=grids, energies=energies, step_costs=step_costs)
+    args[field] = value
+    with pytest.raises(DomainError):
+        FlowTrajectory(**args)
+
+
+def test_flow_trajectory_freezes_its_grids():
+    grids, times, energies, step_costs = _small_trajectory()
+    traj = FlowTrajectory(times, grids, energies, step_costs)
+    assert traj.grids is grids  # C-contiguous float64 is kept, not copied
+    with pytest.raises(ValueError):
+        traj.grids[0, 0] = -1.0
+    assert traj.state(1) == QuantileGrid([0.0, 1.5, 2.5])
+    assert traj.grid_size == 3
+    strided = FlowTrajectory(times, np.asfortranarray(grids), energies, step_costs)
+    assert strided.grids.flags.c_contiguous and not strided.grids.flags.writeable
+    assert np.array_equal(strided.grids, grids)

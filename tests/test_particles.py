@@ -104,13 +104,13 @@ def test_particles_match_quantile_flow_for_smooth_potential():
     init = Measure1D.uniform(-1.0, 1.0)
     grid0 = run_flow(W, init, JkoConfig(tau=1e-3, n=n, t_end=0.5))
     atoms = Measure1D.from_atoms(
-        tuple((float(x), 1.0 / n) for x in grid0.states[0].values)
+        tuple((float(x), 1.0 / n) for x in grid0.state(0).values)
     )
     st = ParticleState([x for x, _ in atoms.atoms], [m for _, m in atoms.atoms])
     history = integrate(W, st, 0.5, 1e-3)
     final_particles = history[-1]
     assert final_particles.count == n
-    err = np.max(np.abs(final_particles.positions - grid0.states[-1].values))
+    err = np.max(np.abs(final_particles.positions - grid0.state(-1).values))
     assert err <= 5e-3
 
 
@@ -195,5 +195,5 @@ def test_quantile_trajectory_adapter():
     history = integrate(ATTRACTIVE, st, 1.0, 1e-2)
     traj = quantile_trajectory(ATTRACTIVE, history, 16)
     assert traj.grid_size == 16
-    assert len(traj.states) == len(history)
-    assert w2_quantile(traj.states[0], traj.states[0]) == 0.0
+    assert traj.grids.shape[0] == len(history)
+    assert w2_quantile(traj.state(0), traj.state(0)) == 0.0

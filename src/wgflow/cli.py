@@ -20,7 +20,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 _METHODS = ("jko", "particles", "exact")
+# metric_derivative is accepted and ignored: summary.csv always carries it
+_DIAGNOSTICS = ("energy_identity", "evi_sigma", "weak_residual", "metric_derivative")
 
 
 class ConfigError(ValueError):
@@ -102,6 +104,24 @@ def _number(d: dict, key: str, default) -> float:
     return value
 
 
+def _object(value, name: str, keys) -> dict:
+    """``value`` if it is a JSON object with keys in ``keys``, else refused as field ``name``."""
+    if not isinstance(value, dict):
+        raise ConfigError(name, f"must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(name, f"unknown key {key!r}")
+    return value
+
+
+def _parse(name: str, from_json_dict, value):
+    """``from_json_dict(value)``, refused as field ``name`` if that raises."""
+    try:
+        return from_json_dict(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(name, str(exc))
+
+
 def _integer(d: dict, key: str, default) -> int:
     value = _number(d, key, default)
     if isinstance(d.get(key), bool) or not value.is_integer():
@@ -136,17 +156,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
+        _object(d, "config", [f.name for f in fields(ExperimentConfig)])
         for key in ("potential", "initial", "method"):
             if key not in d:
                 raise ConfigError(key, "missing required field")
-        try:
-            pot = Potential.from_json_dict(d["potential"])
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("potential", str(exc))
-        try:
-            init = Measure1D.from_json_dict(d["initial"])
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("initial", str(exc))
+        pot = _parse("potential", Potential.from_json_dict, d["potential"])
+        init = _parse("initial", Measure1D.from_json_dict, d["initial"])
         method = d["method"]
         if method not in _METHODS:
             raise ConfigError("method", f"must be one of {_METHODS}, got {method!r}")
@@ -161,7 +176,7 @@ class ExperimentConfig:
             inner_tol=None if d.get("inner_tol") is None else _number(d, "inner_tol", None),
             inner_max_iters=_integer(d, "inner_max_iters", 500),
             out_dir=str(d.get("out_dir", "out")),
-            diagnostics=dict(d.get("diagnostics", {})),
+            diagnostics=dict(_object(d.get("diagnostics", {}), "diagnostics", _DIAGNOSTICS)),
         )
         cfg.validate()
         return cfg
@@ -209,10 +224,7 @@ class ExperimentConfig:
                 raise ConfigError("tau", "must be positive (sampling interval)")
         sigma = self.diagnostics.get("evi_sigma")
         if sigma is not None:
-            try:
-                Measure1D.from_json_dict(sigma)
-            except (DomainError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError("diagnostics.evi_sigma", str(exc))
+            _parse("diagnostics.evi_sigma", Measure1D.from_json_dict, sigma)
 
     def resolved_dict(self) -> dict:
         return {

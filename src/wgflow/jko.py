@@ -200,15 +200,10 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
     ``diag(block sizes) / tau``; they solve for ``e = -dz``.  Returns the
     projection of ``xb + dz``, expanded to the grid.
     """
-    n = x.size
-    if np.all(np.diff(y) > 0.0):  # every block a singleton
-        sizes = None
-        xb, gb, mb = x, g, np.full(n, 1.0 / n)
-    else:
-        starts, sizes = _equal_runs(y)
-        xb = np.add.reduceat(x, starts) / sizes
-        gb = np.add.reduceat(g, starts) / sizes
-        mb = sizes / n
+    starts, sizes = _equal_runs(y)
+    xb = np.add.reduceat(x, starts) / sizes
+    gb = np.add.reduceat(g, starts) / sizes
+    mb = sizes / x.size
     e = np.zeros_like(xb)
     r = gb.copy()
     p = gb.copy()
@@ -226,8 +221,7 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
         if rr <= stop:
             break
         p = r + (rr / rr_old) * p
-    step = xb - e
-    return _pava(step if sizes is None else np.repeat(step, sizes))
+    return _pava(np.repeat(xb - e, sizes))
 
 
 def jko_step(

@@ -115,9 +115,7 @@ class Measure1D:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Measure1D":
-        atoms = tuple((float(x), float(m)) for x, m in d.get("atoms", []))
-        pieces = tuple((float(l), float(r), float(m)) for l, r, m in d.get("pieces", []))
-        return Measure1D(atoms=atoms, pieces=pieces)
+        return Measure1D(**d)
 
 
 @dataclass(frozen=True)

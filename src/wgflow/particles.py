@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jko import FlowTrajectory, _trajectory
-from .measures import DomainError, Measure1D, to_quantile_grid
+from .measures import MASS_TOL, DomainError, piece_index
 from .potential import Potential, pair_energy, pair_force
 
-MASS_TOL = 1e-12
 _EVENT_TOL = 1e-13
 
 
@@ -51,9 +50,6 @@ class ParticleState:
     def count(self) -> int:
         return self.positions.size
 
-    def as_measure(self) -> Measure1D:
-        return Measure1D(atoms=tuple(zip(self.positions, self.masses)))
-
 
 def ode_rhs(W: Potential, st: ParticleState) -> np.ndarray:
     """Velocities dx_i/dt = -sum over j with x_j != x_i of m_j W'(x_i - x_j).
@@ -82,19 +78,18 @@ def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> list
     """Advance the particle system to ``t_end``, recording every substep.
 
     A substep ends early when two neighbours would cross; they are then
-    advanced exactly to contact.  At contact the one-sided relative velocity
-    is ``-(m_i + m_j) * eta``: nonpositive (attractive or neutral cusp) means
-    a sticky merge, positive (repulsive cusp) leaves the pair coincident.
+    advanced exactly to contact, and meet with the particles coincident with
+    either.  At contact the one-sided relative velocity is
+    ``-(m_i + m_j) * eta``: nonpositive (attractive or neutral cusp) means a
+    sticky merge, positive (repulsive cusp) leaves the run coincident.
     """
     if dt <= 0.0:
         raise DomainError(f"dt {dt} must be positive")
-    x = st0.positions.copy()
-    m = st0.masses.copy()
-    t = st0.time
     out = [st0]
     horizon_tol = 1e-12 * max(1.0, abs(t_end))
-    while t < t_end - horizon_tol:
-        v = ode_rhs(W, ParticleState(x, m, t))
+    while out[-1].time < t_end - horizon_tol:
+        x, m, t = out[-1].positions, out[-1].masses, out[-1].time
+        v = ode_rhs(W, out[-1])
         h = min(dt, t_end - t)
         # earliest crossing among adjacent, distinct, approaching pairs
         gap = np.diff(x)
@@ -104,13 +99,14 @@ def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> list
         whens[approach] = gap[approach] / rel[approach]
         event = min(h, float(whens.min(initial=np.inf)))
         # every pair crossing within tolerance of the event takes part in it
-        contact = np.flatnonzero(whens <= event + _EVENT_TOL)
+        hit = whens <= event + _EVENT_TOL
         x = x + event * v
         t = t + event
-        if contact.size:
-            # group simultaneous contacts into runs of coincident particles
-            groups = np.split(contact, np.flatnonzero(np.diff(contact) > 1) + 1)
-            for grp in reversed(groups):
+        if hit.any():
+            # each contact meets as one run with the coincident particles beside it
+            pairs = np.flatnonzero(hit | (gap == 0.0))
+            runs = np.split(pairs, np.flatnonzero(np.diff(pairs) > 1) + 1)
+            for grp in reversed([run for run in runs if hit[run].any()]):
                 lo, hi = int(grp[0]), int(grp[-1]) + 1
                 meet = float(np.dot(x[lo : hi + 1], m[lo : hi + 1]) / m[lo : hi + 1].sum())
                 x[lo : hi + 1] = meet
@@ -118,7 +114,7 @@ def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> list
                     x, m = _merge_group(x, m, lo, hi)
         if np.any(np.diff(x) < 0.0):
             raise RuntimeError("particle ordering violated during integration")
-        out.append(ParticleState(x.copy(), m.copy(), t))
+        out.append(ParticleState(x, m, t))
     return out
 
 
@@ -148,12 +144,17 @@ def nonuniqueness_branches(x0: float, t: float, pair_onset: float = 1.0) -> list
 
 
 def quantile_trajectory(W: Potential, history: list[ParticleState], n: int) -> FlowTrajectory:
-    """Empirical-measure quantile grids of a particle history.
-
-    Useful for comparing particle runs with quantile flows; step costs use
-    the actual substep lengths, which are nonuniform around collision events.
+    """Empirical-measure quantile grids of a particle history: a node reads,
+    by ``piece_index``, the position of the first particle whose cumulative
+    mass exceeds it (``+ 0.0`` reads -0.0 as 0.0, as a flat piece does).
+    Rows equal ``to_quantile_grid`` of each state's measure bit for bit
+    unless particles coincide: ``quantile_pieces`` sums their masses first,
+    so the cluster's end can differ by one ulp and a node exactly between
+    the two ends reads the next position.  Step costs use the
+    substep lengths, which are nonuniform around collision events.
     """
+    nodes = (np.arange(n) + 0.5) / n
     grids = np.empty((len(history), n))
     for k, st in enumerate(history):
-        grids[k] = to_quantile_grid(st.as_measure(), n).values
+        grids[k] = st.positions[piece_index(np.cumsum(st.masses), nodes)] + 0.0
     return _trajectory(W, np.array([st.time for st in history]), grids)

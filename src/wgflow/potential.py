@@ -54,11 +54,7 @@ class Potential:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Potential":
-        return Potential(
-            eta=float(d.get("eta", 0.0)),
-            beta=float(d.get("beta", 0.0)),
-            terms=tuple((float(c), float(p)) for c, p in d.get("terms", [])),
-        )
+        return Potential(**d)
 
 
 def evaluate(W: Potential, x):

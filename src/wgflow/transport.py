@@ -139,13 +139,11 @@ def w2_quantile(g1: QuantileGrid, g2: QuantileGrid) -> float:
     """Discrete Wasserstein-2 distance sqrt((1/n) sum (X1_i - X2_i)^2)."""
     if g1.n != g2.n:
         raise DomainError(f"grid sizes differ: {g1.n} vs {g2.n}")
-    d = g1.values - g2.values
-    return float(np.sqrt(np.mean(d * d)))
+    return float(_row_w2(g1.values[None], g2.values)[0])
 
 
 def _row_w2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry k is ``w2_quantile`` between row k of ``a`` and row k of ``b``,
-    or ``b`` itself when it is one row."""
+    """Entry k is the discrete W2 distance between rows k of ``a`` and ``b`` (``b`` if 1-D)."""
     out = np.empty(a.shape[0])
     for rows in _row_chunks(*a.shape):
         d = a[rows] - (b if b.ndim == 1 else b[rows])

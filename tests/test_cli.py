@@ -106,6 +106,48 @@ def test_run_names_the_bad_field(tmp_path, capsys, method, key, value):
     assert not out.exists()  # refused before any work
 
 
+@pytest.mark.parametrize(
+    "patch, field, named",
+    [
+        ({"potential": "x"}, "potential", ""),
+        ({"initial": ["x"]}, "initial", ""),
+        ({"diagnostics": [1]}, "diagnostics", ""),
+        ({"diagnostics": {"evi_sigma": "x"}}, "diagnostics.evi_sigma", ""),
+        ({"t_ned": 0.01}, "config", "t_ned"),
+        ({"diagnostics": {"weak_residul": True}}, "diagnostics", "weak_residul"),
+        ({"potential": {"eta": -1.0, "gamma": 1.0}}, "potential", "gamma"),
+        ({"initial": {"atoms": [[0.0, 1.0]], "piece": []}}, "initial", "piece"),
+        (
+            {"diagnostics": {"evi_sigma": {"pieces": [[-1.0, 1.0, 1.0]], "atom": []}}},
+            "diagnostics.evi_sigma",
+            "atom",
+        ),
+    ],
+)
+def test_run_refuses_malformed_objects(tmp_path, capsys, patch, field, named):
+    """A non-object where an object belongs, or an unknown key, is refused
+    under the field that holds it, the message naming the key."""
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.01, **patch)
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["field"] == field
+    if named:
+        assert repr(named) in record["message"]
+    assert not out.exists()
+
+
+def test_run_and_w2_refuse_non_object_files(tmp_path, capsys):
+    assert main(["run", "--config", _write(tmp_path / "c.json", [REPULSIVE_DIRAC_RUN])]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["field"] == "config"
+    a = _write(tmp_path / "a.json", {"atoms": [[0.0, 1.0]]})
+    for payload in ([1], {"atoms": [[1.0, 1.0]], "piece": []}):
+        assert main(["w2", a, _write(tmp_path / "b.json", payload)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+
+
 def test_run_rejects_bad_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{nope")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgflow import (
     DomainError,
@@ -14,6 +16,7 @@ from wgflow import (
     ode_rhs,
     quantile_trajectory,
     run_flow,
+    to_quantile_grid,
     w2_quantile,
 )
 from wgflow.particles import interaction_energy as particle_energy
@@ -190,6 +193,14 @@ def test_branch_energies_ordered():
     assert -1.0 / 3.0 < e_triple < e_pair < e_stationary
 
 
+def test_contact_takes_in_coincident_neighbours():
+    # a run of six coincident particles meets a coincident pair: all eight
+    # merge, where merging only the two facing particles broke the order
+    st = ParticleState([0.25, 0.625] + [1.0] * 6 + [1.375] * 2, [1 / 64] * 9 + [55 / 64])
+    history = integrate(ATTRACTIVE, st, 2.0, 0.05)
+    assert sorted({s.count for s in history}, reverse=True) == [10, 3, 2, 1]
+
+
 def test_quantile_trajectory_adapter():
     st = ParticleState([-1.0, 1.0], [0.5, 0.5])
     history = integrate(ATTRACTIVE, st, 1.0, 1e-2)
@@ -197,3 +208,46 @@ def test_quantile_trajectory_adapter():
     assert traj.grid_size == 16
     assert traj.grids.shape[0] == len(history)
     assert w2_quantile(traj.state(0), traj.state(0)) == 0.0
+
+
+@st.composite
+def _particle_state(draw, coincident: bool):
+    """Sorted particles in [-4, 4]: distinct positions with arbitrary masses,
+    or positions with repeats and dyadic masses, whose every sum is exact."""
+    size = draw(st.integers(1, 10))
+    if coincident:
+        steps = draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
+        x = draw(st.floats(-1.0, 1.0)) + 0.375 * np.array(steps)
+        cuts = draw(st.lists(st.integers(1, 63), min_size=size - 1, max_size=size - 1, unique=True))
+        m = np.diff([0, *sorted(cuts), 64]) / 64.0
+    else:
+        x = draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size, unique=True))
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size)))
+        m = w / w.sum()
+    return ParticleState(np.sort(x), m)
+
+
+_STATES = _particle_state(coincident=False) | _particle_state(coincident=True)
+
+
+def _assert_rows_are_measure_grids(history, n):
+    """Every row of the adapter equals, bit for bit, the grid of the state's
+    measure through ``quantile_pieces``."""
+    got = quantile_trajectory(ATTRACTIVE, history, n).grids
+    for row, state in zip(got, history):
+        measure = Measure1D.from_atoms(zip(state.positions, state.masses))
+        assert row.tobytes() == to_quantile_grid(measure, n).values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STATES, st.integers(1, 64))
+def test_quantile_trajectory_rows_match_measure_grids(state, n):
+    _assert_rows_are_measure_grids([state], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STATES, st.sampled_from([-1.0, 1.0]), st.integers(1, 64))
+def test_quantile_trajectory_of_integrated_histories(state, eta, n):
+    # attraction merges colliding particles; repulsion keeps coincident ones
+    # together
+    _assert_rows_are_measure_grids(integrate(Potential(eta=eta), state, 2.0, 0.05), n)

@@ -10,13 +10,14 @@ the piecewise affine quantile, including partial pooling of rising pieces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jko import FlowTrajectory
-from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, eval_pieces, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, eval_pieces, midpoint_nodes, quantile_pieces
 from .potential import Potential, pair_force
 from .transport import _row_w2
 
@@ -226,11 +227,7 @@ def _joint_fit(stack, k):
 
 
 def _repair(stack):
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("isotonic repair did not terminate")
+    for _ in range(10000):
         bad = None
         for k in range(len(stack) - 1):
             if _violates(stack[k], stack[k + 1]):
@@ -252,6 +249,7 @@ def _repair(stack):
                 _eat_tail(stack, bad)
         else:
             raise AssertionError("rising pieces cannot violate each other")
+    raise RuntimeError("isotonic repair did not terminate")
 
 
 def _isotonic_pieces(pieces):
@@ -278,6 +276,8 @@ def _transported_pieces(sol: ExactSolution, t: float):
 
 
 def _structure(sol: ExactSolution, t: float):
+    if t < 0.0:
+        raise DomainError(f"time {t} must be nonnegative")
     pieces = _transported_pieces(sol, t)
     if sol.kind == KIND_REPULSIVE:
         # slopes b + 2 eta t stay nonnegative and jumps stay upward
@@ -287,8 +287,6 @@ def _structure(sol: ExactSolution, t: float):
 
 def exact_quantile(sol: ExactSolution, t: float, z: float) -> float:
     """Quantile of the reference solution at time ``t`` and mass label ``z``."""
-    if t < 0.0:
-        raise DomainError(f"time {t} must be nonnegative")
     if not 0.0 < z < 1.0:
         raise DomainError(f"mass label {z} outside (0, 1)")
     return float(eval_pieces(_structure(sol, t), z))
@@ -296,9 +294,7 @@ def exact_quantile(sol: ExactSolution, t: float, z: float) -> float:
 
 def exact_grid(sol: ExactSolution, t: float, n: int) -> QuantileGrid:
     """Reference quantile sampled at the ``n`` midpoint nodes."""
-    if n < 1:
-        raise DomainError("grid size must be positive")
-    return QuantileGrid(eval_pieces(_structure(sol, t), (np.arange(n) + 0.5) / n))
+    return QuantileGrid(eval_pieces(_structure(sol, t), midpoint_nodes(n)))
 
 
 def exact_measure(sol: ExactSolution, t: float) -> Measure1D:
@@ -306,8 +302,6 @@ def exact_measure(sol: ExactSolution, t: float) -> Measure1D:
 
     Rising stretches become uniform segments, flats and pools become atoms.
     """
-    if t < 0.0:
-        raise DomainError(f"time {t} must be nonnegative")
     atoms: list[tuple[float, float]] = []
     pieces: list[tuple[float, float, float]] = []
     for el in _structure(sol, t):
@@ -321,32 +315,42 @@ def exact_measure(sol: ExactSolution, t: float) -> Measure1D:
     return Measure1D(atoms=tuple(atoms), pieces=tuple(pieces))
 
 
-def _is_collapsed(sol: ExactSolution, t: float) -> bool:
-    structure = _structure(sol, t)
-    return _end_value(structure[-1]) <= _start_value(structure[0])
+def _integral(el, lo, hi):
+    """Integral of the piece over [lo, hi], from its start value."""
+    return (hi - lo) * (_start_value(el) + 0.5 * el[3] * ((lo - el[0]) + (hi - el[0])))
 
 
-def collapse_time(sol: ExactSolution, tol: float = 1e-12) -> float:
-    """Smallest time at which the attractive solution is constant in ``z``."""
+def collapse_time(sol: ExactSolution) -> float:
+    """Smallest time at which the attractive solution is constant in ``z``:
+    the widest gap ``u(s) - l(s)`` over eta, with ``l(s)`` the mean of X0 over
+    (0, s) and ``u(s)`` its mean over (s, 1).  It peaks as s -> 0 or 1, at a
+    junction, or in a rising piece ``a + b s`` where ``c2 s^2 + 2 q s = q``,
+    ``c2 = mean - a - b/2``, ``q = a s0 + b s0^2/2 - F(s0)``, F = int X0."""
     if sol.kind != KIND_ATTRACTIVE:
         raise DomainError("collapse time is defined for the attractive kind only")
-    if _is_collapsed(sol, 0.0):
+    pieces = quantile_pieces(sol.init)
+    if _end_value(pieces[-1]) <= _start_value(pieces[0]):
         return 0.0
-    hi = 1.0
-    for _ in range(80):
-        if _is_collapsed(sol, hi):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("no collapse found while doubling the horizon")
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _is_collapsed(sol, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # integrals below each piece summed from the bottom, above it from the top
+    shares = [_integral(el, el[0], el[1]) for el in pieces]
+    below = list(itertools.accumulate(shares, initial=0.0))
+    above = list(itertools.accumulate(shares[::-1], initial=0.0))[::-1]
+    end = pieces[-1][1]  # the mass the pieces cover, 1 within MASS_TOL
+    mean = above[0] / end
+    gap = max(mean - _start_value(pieces[0]), _end_value(pieces[-1]) - below[-1] / end)
+    for k, el in enumerate(pieces):
+        s0, s1, x0, b = el[0], el[1], _start_value(el), el[3]
+        levels = [s0] if k else []
+        # c2 and q from the start value x0 = a + b s0 rather than the intercept a
+        c2, q = mean - x0 + b * (s0 - 0.5), s0 * (x0 - 0.5 * b * s0) - below[k]
+        if b > 0.0 and q != 0.0 and q * (q + c2) >= 0.0:
+            r = q + math.copysign(math.sqrt(q * (q + c2)), q)  # roots q / r and -r / c2
+            levels += [q / r, -r / c2] if c2 != 0.0 else [q / r]
+        for s in levels:
+            if s0 <= s < s1:
+                upper = (above[k + 1] + _integral(el, s, s1)) / (end - s)
+                gap = max(gap, upper - (below[k] + _integral(el, s0, s)) / s)
+    return max(gap, 0.0) / sol.eta_abs
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .jko import (
     evi_residual,
     run_flow,
 )
-from .measures import DomainError, Measure1D, to_quantile_grid
+from .measures import DomainError, Measure1D, midpoint_nodes, to_quantile_grid
 from .particles import ParticleState, integrate, quantile_trajectory
 from .potential import Potential, convexity_certificate
 from .transport import DiscreteInstance, solve_dual, solve_primal, w2_exact_discrete
@@ -54,7 +54,8 @@ EXIT_SOLVER = 3
 
 _METHODS = ("jko", "particles", "exact")
 # metric_derivative is accepted and ignored: summary.csv always carries it
-_DIAGNOSTICS = ("energy_identity", "evi_sigma", "weak_residual", "metric_derivative")
+_TOGGLES = ("energy_identity", "weak_residual", "metric_derivative")
+_DIAGNOSTICS = _TOGGLES + ("evi_sigma",)
 
 
 class ConfigError(ValueError):
@@ -222,6 +223,9 @@ class ExperimentConfig:
                 )
             if self.tau <= 0.0:
                 raise ConfigError("tau", "must be positive (sampling interval)")
+        for key, value in self.diagnostics.items():
+            if key in _TOGGLES and not isinstance(value, bool):
+                raise ConfigError(f"diagnostics.{key}", f"must be true or false, got {value!r}")
         sigma = self.diagnostics.get("evi_sigma")
         if sigma is not None:
             _parse("diagnostics.evi_sigma", Measure1D.from_json_dict, sigma)
@@ -239,9 +243,9 @@ class ExperimentConfig:
             "inner_max_iters": self.inner_max_iters,
             "out_dir": self.out_dir,
             "diagnostics": {
-                "energy_identity": bool(self.diagnostics.get("energy_identity", False)),
+                "energy_identity": self.diagnostics.get("energy_identity", False),
                 "evi_sigma": self.diagnostics.get("evi_sigma"),
-                "weak_residual": bool(self.diagnostics.get("weak_residual", False)),
+                "weak_residual": self.diagnostics.get("weak_residual", False),
             },
         }
 
@@ -249,7 +253,7 @@ class ExperimentConfig:
 def _write_grid_trajectory(path: str, traj: FlowTrajectory):
     n = traj.grid_size
     # the ",i,s_i," columns are the same for every state
-    columns = [f",{i},{s}," for i, s in enumerate(_fmts((np.arange(n) + 0.5) / n))]
+    columns = [f",{i},{s}," for i, s in enumerate(_fmts(midpoint_nodes(n)))]
     with open(path, "w", newline="") as fh:
         fh.write("t,i,s_i,X_i\n")
         for ts, row in zip(_fmts(traj.times), traj.grids):

@@ -44,6 +44,13 @@ def _check_grids(v: np.ndarray):
             raise DomainError("quantile grid values must be nondecreasing")
 
 
+def midpoint_nodes(n: int) -> np.ndarray:
+    """The ``n`` midpoint mass levels ``(k + 1/2) / n`` a quantile grid samples."""
+    if n < 1:
+        raise DomainError(f"grid size {n} must be positive")
+    return (np.arange(n) + 0.5) / n
+
+
 def _as_float(x) -> float:
     v = float(x)
     if not np.isfinite(v):
@@ -140,7 +147,7 @@ class QuantileGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) / self.n
+        return midpoint_nodes(self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuantileGrid) and np.array_equal(
@@ -220,9 +227,7 @@ def quantile(m: Measure1D, s: float) -> float:
 
 def to_quantile_grid(m: Measure1D, n: int) -> QuantileGrid:
     """Sample the quantile function at the n midpoint nodes (k + 1/2)/n."""
-    if n < 1:
-        raise DomainError(f"grid size {n} must be positive")
-    return QuantileGrid(eval_pieces(quantile_pieces(m), (np.arange(n) + 0.5) / n))
+    return QuantileGrid(eval_pieces(quantile_pieces(m), midpoint_nodes(n)))
 
 
 def _equal_runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jko import FlowTrajectory, _trajectory
-from .measures import MASS_TOL, DomainError, piece_index
+from .measures import MASS_TOL, DomainError, midpoint_nodes, piece_index
 from .potential import Potential, pair_energy, pair_force
 
 _EVENT_TOL = 1e-13
@@ -153,7 +153,7 @@ def quantile_trajectory(W: Potential, history: list[ParticleState], n: int) -> F
     the two ends reads the next position.  Step costs use the
     substep lengths, which are nonuniform around collision events.
     """
-    nodes = (np.arange(n) + 0.5) / n
+    nodes = midpoint_nodes(n)
     grids = np.empty((len(history), n))
     for k, st in enumerate(history):
         grids[k] = st.positions[piece_index(np.cumsum(st.masses), nodes)] + 0.0

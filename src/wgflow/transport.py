@@ -78,10 +78,8 @@ class DiscreteInstance:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DiscreteInstance":
-        sources = [(pt, m) for pt, m in d["sources"]]
-        sinks = [(pt, m) for pt, m in d["sinks"]]
-        cost = d.get("cost")
-        return DiscreteInstance.from_weighted_points(sources, sinks, cost)
+        """``from_weighted_points(**d)``: an unknown or missing key raises ``TypeError``."""
+        return DiscreteInstance.from_weighted_points(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,22 +321,16 @@ def solve_dual(inst: DiscreteInstance, plan: TransportPlan) -> DualSolution:
         slack = cost - u[:, None] - v[None, :]
         # tightest shift delta_a - delta_b <= min slack over rows(a) x cols(b)
         w = np.full((ncomp, ncomp), np.inf)
-        for a in range(ncomp):
-            rows = comp_row == a
-            for b in range(ncomp):
-                cols = comp_col == b
-                if a != b and rows.any() and cols.any():
-                    w[a, b] = float(np.min(slack[np.ix_(rows, cols)]))
+        np.minimum.at(w, (comp_row[:, None], comp_col[None, :]), slack)
+        np.fill_diagonal(w, np.inf)
+        # Bellman-Ford, relaxing every component at once in each sweep
         delta = np.zeros(ncomp)
-        for sweep in range(ncomp + 1):
-            changed = False
-            for a in range(ncomp):
-                for b in range(ncomp):
-                    if np.isfinite(w[a, b]) and delta[a] > delta[b] + w[a, b] + 1e-15:
-                        delta[a] = delta[b] + w[a, b]
-                        changed = True
-            if not changed:
+        for _ in range(ncomp + 1):
+            best = np.min(w + delta, axis=1)
+            lower = delta > best + 1e-15
+            if not lower.any():
                 break
+            delta[lower] = best[lower]
         else:
             raise DomainError(
                 "no feasible dual completion exists; the plan is not optimal"

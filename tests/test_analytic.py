@@ -41,6 +41,18 @@ def test_solution_validation():
         ExactSolution(KIND_REPULSIVE, Measure1D.dirac(0.0), 0.0)
 
 
+@pytest.mark.parametrize("kind", [KIND_REPULSIVE, KIND_ATTRACTIVE])
+def test_exact_readers_refuse_negative_time(kind):
+    sol = ExactSolution(kind, _pair(-1.0, 1.0), 1.0)
+    for read in (
+        lambda: exact_quantile(sol, -0.5, 0.5),
+        lambda: exact_grid(sol, -0.5, 4),
+        lambda: exact_measure(sol, -0.5),
+    ):
+        with pytest.raises(DomainError, match="nonnegative"):
+            read()
+
+
 def test_repulsive_dirac_block():
     x0 = 0.4
     sol = ExactSolution(KIND_REPULSIVE, Measure1D.dirac(x0), 1.0)
@@ -95,6 +107,52 @@ def test_collapse_time_examples():
 def test_collapse_time_scales_with_eta():
     sol = ExactSolution(KIND_ATTRACTIVE, _pair(-1.0, 1.0), 2.0)
     assert collapse_time(sol) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "init, expected",
+    [
+        # the widest gap is the s -> 1 limit: top of the upper uniform minus the mean
+        (
+            Measure1D(
+                pieces=(
+                    (2.4272624675892054, 3.9512968268721256, 0.34415069753877564),
+                    (1.245360315040477, 1.694855272440022, 0.6558493024612243),
+                )
+            ),
+            1.8895348405641195,
+        ),
+        # at the junction s = 1/2 of two rising pieces: means 0.5 and 3.5
+        (Measure1D(pieces=((0.0, 1.0, 0.5), (3.0, 4.0, 0.5))), 3.0),
+        # inside the rising piece, at s = 1/2: means 0.5 and 3.5, while the
+        # junctions s = 1/4 and 3/4 give 8/3
+        (Measure1D(atoms=((0.0, 0.25), (4.0, 0.25)), pieces=((0.0, 4.0, 0.5),)), 3.0),
+    ],
+    ids=["upper_limit", "junction", "interior"],
+)
+def test_collapse_time_pinned_values(init, expected):
+    assert collapse_time(ExactSolution(KIND_ATTRACTIVE, init, 1.0)) == expected
+
+
+def test_collapse_time_brackets_the_projection_collapse():
+    """Just after the closed-form time the isotonic projection is one value,
+    just before it is not; the projection is computed independently of the
+    closed form."""
+    from oracles import random_measure
+
+    from wgflow.analytic import _end_value, _start_value, _structure
+
+    def collapsed(sol, t):
+        structure = _structure(sol, t)
+        return _end_value(structure[-1]) <= _start_value(structure[0])
+
+    rng = np.random.default_rng(3131)
+    for _ in range(400):
+        sol = ExactSolution(KIND_ATTRACTIVE, random_measure(rng), float(rng.uniform(0.3, 2.5)))
+        t_star = collapse_time(sol)
+        margin = 1e-9 * max(1.0, t_star)
+        assert collapsed(sol, t_star + margin)
+        assert t_star == 0.0 or not collapsed(sol, t_star - margin)
 
 
 def _pool_count_drop_time(sol, below, t_hi, tol=1e-10):

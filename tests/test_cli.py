@@ -374,6 +374,70 @@ def test_ot_unbalanced_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ot_reads_only_the_instance_keys(tmp_path, capsys):
+    base = {"sources": [[[0.0], 0.5], [[1.0], 0.5]], "sinks": [[[0.0], 0.5], [[1.0], 0.5]]}
+    cost = [[1.0, 5.0], [5.0, 1.0]]
+    assert main(["ot", _write(tmp_path / "c.json", dict(base, cost=cost))]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "primal 1"
+    # a misspelled cost must not be solved with the default squared distance
+    for payload in (dict(base, cots=cost), {"sources": base["sources"]}):
+        assert main(["ot", _write(tmp_path / "i.json", payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "parse"
+
+
+@pytest.mark.parametrize("key", ["energy_identity", "weak_residual", "metric_derivative"])
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_run_refuses_non_boolean_toggles(tmp_path, capsys, key, value):
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.01, diagnostics={key: value})
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["field"] == f"diagnostics.{key}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ("config", "config"),
+        ("diagnostics", "diagnostics"),
+        ("potential", "potential"),
+        ("initial", "initial"),
+        ("evi_sigma", "diagnostics.evi_sigma"),
+        ("w2", None),
+        ("ot", None),
+    ],
+)
+def test_every_json_entry_point_refuses_an_unknown_key(tmp_path, capsys, entry, field):
+    measure = {"atoms": [[0.0, 1.0]], "pieces": []}
+    instance = {"sources": [[[0.0], 1.0]], "sinks": [[[1.0], 1.0]]}
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.01)
+    cfg["diagnostics"] = dict(cfg["diagnostics"], evi_sigma=measure)
+    if entry == "config":
+        cfg["bogus"] = 1
+    elif entry == "evi_sigma":
+        cfg["diagnostics"]["evi_sigma"] = dict(measure, bogus=1)
+    elif entry in cfg:
+        cfg[entry] = dict(cfg[entry], bogus=1)
+    out = tmp_path / "o"
+    argv = {
+        "w2": ["w2", _write(tmp_path / "a.json", measure), _write(tmp_path / "b.json", dict(measure, bogus=1))],
+        "ot": ["ot", _write(tmp_path / "i.json", dict(instance, bogus=1))],
+    }.get(entry, ["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == ("parse" if field is None else "config")
+    assert record.get("field") == field
+    assert "'bogus'" in record["message"]
+    assert not out.exists()
+
+
 
 GOLDEN_DIAGNOSTICS = {
     "energy_identity": True,

@@ -3,10 +3,10 @@ one-dimensional measures through their quantile functions, and the finite
 primal/dual transportation problem solved by the transportation simplex with
 a complementary-slackness duality certificate.
 
-The simplex and the certificate share one walk of a spanning forest,
-``_walk``: over the basis tree it gives each pivot's potentials and, through
-its parent pointers, the entering cell's cycle; over a plan's support it
-gives the certificate's potentials and components.
+The simplex keeps its basis tree between pivots and sets again only the
+potentials of the subtree that a pivot re-hangs; the certificate walks the
+plan's support once with ``_walk`` for its potentials and components.  Both
+set ``u_i + v_j = c_ij`` along tree edges from row 0 of each component.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ class DiscreteInstance:
     """A balanced discrete transport instance.
 
     ``source_points``/``sink_points`` hold the locations as (count, dim)
-    arrays, the mass vectors each sum to 1 within ``BALANCE_TOL``, and
-    ``cost[i, j]`` is the unit transport cost, by default the squared
-    Euclidean distance between the points.
+    arrays of one dimension, the mass vectors each sum to 1 within
+    ``BALANCE_TOL``, and ``cost[i, j]`` is the unit transport cost, by default
+    the squared Euclidean distance between the points.  Every entry is
+    finite; a field that is not is refused by name.
     """
 
     source_points: np.ndarray
@@ -47,6 +48,10 @@ class DiscreteInstance:
         c = np.asarray(self.cost, dtype=float)
         if sp.shape[0] != p.size or tp.shape[0] != q.size:
             raise DomainError("point and mass counts disagree")
+        if sp.shape[1] != tp.shape[1]:
+            raise DomainError(
+                f"source_points have dimension {sp.shape[1]}, sink_points {tp.shape[1]}"
+            )
         if np.any(p <= 0) or np.any(q <= 0):
             raise DomainError("masses must be positive")
         if abs(p.sum() - 1.0) > BALANCE_TOL or abs(q.sum() - 1.0) > BALANCE_TOL:
@@ -60,6 +65,8 @@ class DiscreteInstance:
             ("sink_masses", q),
             ("cost", c),
         ):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -71,7 +78,7 @@ class DiscreteInstance:
         tp = np.atleast_2d(np.asarray([np.atleast_1d(pt) for pt, _ in sinks], dtype=float))
         p = np.asarray([m for _, m in sources], dtype=float)
         q = np.asarray([m for _, m in sinks], dtype=float)
-        if cost is None:
+        if cost is None and sp.shape[1] == tp.shape[1]:  # else refused when built
             diff = sp[:, None, :] - tp[None, :, :]
             cost = np.sum(diff * diff, axis=2)
         return DiscreteInstance(sp, p, tp, q, np.asarray(cost, dtype=float))
@@ -209,8 +216,8 @@ def _walk(cells, cost, m, n):
     Each component is walked from its lowest unreached row, which gets
     ``u = 0``; every tree edge ``(i, j)`` sets its far end so that
     ``u_i + v_j = cost[i, j]``, and a node's edges are taken in the order of
-    ``cells``.  Returns ``u``, ``v``, the component of every node (-1 for a
-    column no cell reaches) and every node's tree parent (-1 at a root).
+    ``cells``.  Returns ``u``, ``v`` and the component of every node (-1 for
+    a column no cell reaches).
     """
     adj = [[] for _ in range(m + n)]
     for i, j in cells:
@@ -218,7 +225,6 @@ def _walk(cells, cost, m, n):
         adj[m + j].append(i)
     pot = [0.0] * (m + n)
     comp = [-1] * (m + n)
-    parent = [-1] * (m + n)
     ncomp = 0
     for root in range(m):
         if comp[root] >= 0:
@@ -230,69 +236,109 @@ def _walk(cells, cost, m, n):
             for b in adj[a]:
                 if comp[b] < 0:
                     comp[b] = ncomp
-                    parent[b] = a
                     i, j = (a, b - m) if a < m else (b, a - m)
                     pot[b] = cost[i, j] - pot[a]
                     stack.append(b)
         ncomp += 1
     pot = np.array(pot)
-    return pot[:m], pot[m:], np.array(comp), parent
+    return pot[:m], pot[m:], np.array(comp)
 
 
-def _cycle(parent, enter, m):
-    """Cells of the cycle that ``enter`` closes in the basis tree: ``enter``,
-    then the tree path from its column up to the common ancestor and down to
-    its row.  Signs alternate +, -, +, ... along it.
+def _hang(adj, cost, parent, depth, pot, m, a, b):
+    """Hang node ``b``, with everything beyond it in the tree ``adj``, under
+    node ``a``: reset ``parent``, ``depth`` and ``pot`` down from ``b``, each
+    edge ``(i, j)`` setting its far end so that ``u_i + v_j = cost[i][j]``.
+    Nodes are numbered as in ``_walk``.
     """
-    i0, j0 = enter
-    row_path = [i0]  # row i0 up to its root
-    while parent[row_path[-1]] >= 0:
-        row_path.append(parent[row_path[-1]])
-    on_row_path = set(row_path)
-    col_path = [m + j0]  # column j0 up to the first node on row_path
-    while col_path[-1] not in on_row_path:
-        col_path.append(parent[col_path[-1]])
-    nodes = col_path + row_path[: row_path.index(col_path[-1])][::-1]
-    return [enter] + [
-        (a, b - m) if a < m else (b, a - m) for a, b in zip(nodes, nodes[1:])
-    ]
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        parent[b] = a
+        depth[b] = depth[a] + 1
+        pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+        for d in adj[b]:
+            if d != a:
+                stack.append((b, d))
 
 
 def solve_primal(inst: DiscreteInstance) -> TransportPlan:
     """Minimal-cost plan via the transportation simplex.
 
     Bland's least-index rule is used for both the entering and the leaving
-    cell, which rules out cycling on degenerate instances.  Each pivot walks
-    the basis tree once: the walk gives the potentials, and its parent
-    pointers give the entering cell's cycle.
+    cell, which rules out cycling on degenerate instances.  The basis tree is
+    built once from the north-west-corner start, rooted at row 0, and kept
+    between pivots with every node's parent, depth and potential.  The
+    entering cell's cycle is found by climbing from its row and its column
+    until the two paths meet.  The leaving cell cuts off a subtree; it is
+    hung by the entering cell under the rest, and its potentials alone are
+    set again.  Every potential is thus computed along its tree path from
+    row 0 with the same arithmetic as a walk of the whole tree.
     """
     p = inst.source_masses
     q = inst.sink_masses
     cost = inst.cost
+    c = cost.tolist()
     m, n = cost.shape
-    x, basis = _northwest_corner(p, q)
-    for _ in range(200 * m * n + 200):
-        u, v, comp, parent = _walk(basis, cost, m, n)
-        if np.any(comp != 0):
+    x, cells = _northwest_corner(p, q)
+    x = x.tolist()
+    nonbasic = np.ones((m, n), dtype=bool)
+    adj = [[] for _ in range(m + n)]
+    parent = [-1] * (m + n)
+    depth = [0] + [-1] * (m + n - 1)
+    pot = [0.0] * (m + n)
+    # each north-west-corner cell must join one new row or column to the tree
+    for i, j in cells:
+        a, b = (i, m + j) if depth[i] >= 0 else (m + j, i)
+        if depth[a] < 0 or depth[b] >= 0:
             raise RuntimeError("basis graph is not a spanning tree")
-        reduced = cost - u[:, None] - v[None, :]
-        for i, j in basis:
-            reduced[i, j] = 0.0
-        candidates = np.flatnonzero(reduced < -1e-12)
-        if candidates.size == 0:
+        nonbasic[i, j] = False
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        _hang(adj, c, parent, depth, pot, m, a, b)
+    if -1 in depth:
+        raise RuntimeError("basis graph is not a spanning tree")
+    for _ in range(200 * m * n + 200):
+        uv = np.array(pot)
+        entering = (cost - uv[:m, None] - uv[None, m:] < -1e-12) & nonbasic
+        k = int(entering.argmax())  # the least index, as Bland's rule asks
+        if not entering.flat[k]:
             break
-        enter = divmod(int(candidates[0]), n)
-        cycle = _cycle(parent, enter, m)
-        minus = cycle[1::2]
-        theta = min(x[c] for c in minus)
-        leave = min(c for c in minus if x[c] == theta)
-        for k, c in enumerate(cycle):
-            x[c] += theta if k % 2 == 0 else -theta
-        x[leave] = 0.0
-        basis.remove(leave)
-        basis.append(enter)
+        i0, j0 = divmod(k, n)
+        # climb from both ends to their meeting node; the tree edges at even
+        # distance from either end lose theta, the others and (i0, j0) gain it
+        a, b = i0, m + j0
+        up_a, up_b = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up_a.append(a)
+                a = parent[a]
+            else:
+                up_b.append(b)
+                b = parent[b]
+        edges = [(d, parent[d] - m) if d < m else (parent[d], d - m) for d in up_a + up_b]
+        minus = edges[0 : len(up_a) : 2] + edges[len(up_a) :: 2]
+        plus = [(i0, j0)] + edges[1 : len(up_a) : 2] + edges[len(up_a) + 1 :: 2]
+        theta = min(x[i][j] for i, j in minus)
+        li, lj = min((i, j) for i, j in minus if x[i][j] == theta)
+        for i, j in plus:
+            x[i][j] += theta
+        for i, j in minus:
+            x[i][j] -= theta
+        x[li][lj] = 0.0
+        nonbasic[i0, j0] = False
+        nonbasic[li, lj] = True
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[i0].append(m + j0)
+        adj[m + j0].append(i0)
+        # the leaving edge cuts off the subtree holding the end on its side
+        if edges.index((li, lj)) < len(up_a):
+            _hang(adj, c, parent, depth, pot, m, m + j0, i0)
+        else:
+            _hang(adj, c, parent, depth, pot, m, i0, m + j0)
     else:
         raise RuntimeError("transportation simplex did not terminate")
+    x = np.array(x)
     x[x < 0.0] = 0.0
     plan = TransportPlan(x, float(np.sum(cost * x)))
     plan.check(inst)
@@ -310,7 +356,7 @@ def solve_dual(inst: DiscreteInstance, plan: TransportPlan) -> DualSolution:
     """
     cost = inst.cost
     m, n = cost.shape
-    u, v, comp, _ = _walk(np.argwhere(plan.x > _SUPPORT_TOL).tolist(), cost, m, n)
+    u, v, comp = _walk(np.argwhere(plan.x > _SUPPORT_TOL).tolist(), cost, m, n)
     comp_row, comp_col = comp[:m], comp[m:]
     if np.any(comp_col < 0):
         # columns with no support edge cannot occur for positive sink masses

@@ -202,3 +202,112 @@ def random_instance(rng, max_size=4, dim=1):
     return DiscreteInstance.from_weighted_points(
         [(sp[i], p[i]) for i in range(m)], [(tp[j], q[j]) for j in range(n)]
     )
+
+
+# --- reference transportation simplex ----------------------------------------
+#
+# The simplex as it stood before its basis tree was kept between pivots: each
+# pivot walks the whole basis tree again for its potentials and parents, and
+# reads the entering cell's cycle off those parents.
+
+
+def _northwest_corner(p, q):
+    m, n = p.size, q.size
+    x = np.zeros((m, n))
+    basis = []
+    a = p.copy()
+    b = q.copy()
+    i = j = 0
+    while True:
+        t = min(a[i], b[j])
+        x[i, j] = t
+        basis.append((i, j))
+        a[i] -= t
+        b[j] -= t
+        if i == m - 1 and j == n - 1:
+            break
+        if (a[i] <= b[j] and i < m - 1) or j == n - 1:
+            i += 1
+        else:
+            j += 1
+    return x, basis
+
+
+def _walk(cells, cost, m, n):
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [0.0] * (m + n)
+    comp = [-1] * (m + n)
+    parent = [-1] * (m + n)
+    ncomp = 0
+    for root in range(m):
+        if comp[root] >= 0:
+            continue
+        comp[root] = ncomp
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in adj[a]:
+                if comp[b] < 0:
+                    comp[b] = ncomp
+                    parent[b] = a
+                    i, j = (a, b - m) if a < m else (b, a - m)
+                    pot[b] = cost[i, j] - pot[a]
+                    stack.append(b)
+        ncomp += 1
+    pot = np.array(pot)
+    return pot[:m], pot[m:], np.array(comp), parent
+
+
+def _cycle(parent, enter, m):
+    i0, j0 = enter
+    row_path = [i0]  # row i0 up to its root
+    while parent[row_path[-1]] >= 0:
+        row_path.append(parent[row_path[-1]])
+    on_row_path = set(row_path)
+    col_path = [m + j0]  # column j0 up to the first node on row_path
+    while col_path[-1] not in on_row_path:
+        col_path.append(parent[col_path[-1]])
+    nodes = col_path + row_path[: row_path.index(col_path[-1])][::-1]
+    return [enter] + [
+        (a, b - m) if a < m else (b, a - m) for a, b in zip(nodes, nodes[1:])
+    ]
+
+
+def reference_simplex(inst):
+    """Transportation simplex with Bland's rule, walking the basis per pivot."""
+    from wgflow.transport import TransportPlan
+
+    p = inst.source_masses
+    q = inst.sink_masses
+    cost = inst.cost
+    m, n = cost.shape
+    x, basis = _northwest_corner(p, q)
+    for _ in range(200 * m * n + 200):
+        u, v, comp, parent = _walk(basis, cost, m, n)
+        if np.any(comp != 0):
+            raise RuntimeError("basis graph is not a spanning tree")
+        reduced = cost - u[:, None] - v[None, :]
+        for i, j in basis:
+            reduced[i, j] = 0.0
+        candidates = np.flatnonzero(reduced < -1e-12)
+        if candidates.size == 0:
+            break
+        enter = divmod(int(candidates[0]), n)
+        cycle = _cycle(parent, enter, m)
+        minus = cycle[1::2]
+        theta = min(x[c] for c in minus)
+        leave = min(c for c in minus if x[c] == theta)
+        for k, c in enumerate(cycle):
+            x[c] += theta if k % 2 == 0 else -theta
+        x[leave] = 0.0
+        basis.remove(leave)
+        basis.append(enter)
+    else:
+        raise RuntimeError("transportation simplex did not terminate")
+    x[x < 0.0] = 0.0
+    plan = TransportPlan(x, float(np.sum(cost * x)))
+    plan.check(inst)
+    return plan

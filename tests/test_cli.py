@@ -387,6 +387,31 @@ def test_ot_reads_only_the_instance_keys(tmp_path, capsys):
         assert json.loads(captured.err.strip())["error"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("source_masses", '{"sources": [[0, NaN], [1, 1]], "sinks": [[0, 1]]}'),
+        ("sink_points", '{"sources": [[0, 1]], "sinks": [[-Infinity, 1]]}'),
+        ("cost", '{"sources": [[0, 0.5], [1, 0.5]], "sinks": [[0, 1]], "cost": [[NaN], [1]]}'),
+        (
+            "cost",
+            '{"sources": [[0, 0.5], [1, 0.5]], "sinks": [[0, 0.5], [1, 0.5]],'
+            ' "cost": [[Infinity, 1], [1, 1]]}',
+        ),
+        ("source_points have dimension 1, sink_points 2", '{"sources": [[1, 1]], "sinks": [[[0, 5], 1]]}'),
+    ],
+)
+def test_ot_refuses_non_finite_and_mixed_dimensions(tmp_path, capsys, field, text):
+    path = tmp_path / "i.json"
+    path.write_text(text)
+    assert main(["ot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "parse"
+    assert field in record["message"]
+
+
 @pytest.mark.parametrize("key", ["energy_identity", "weak_residual", "metric_derivative"])
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_run_refuses_non_boolean_toggles(tmp_path, capsys, key, value):

@@ -14,7 +14,12 @@ from wgflow import (
     w2_exact_discrete,
     w2_quantile,
 )
-from oracles import exhaustive_transport_minimum, random_instance, random_measure
+from oracles import (
+    exhaustive_transport_minimum,
+    random_instance,
+    random_measure,
+    reference_simplex,
+)
 
 
 def test_w2_quantile_diracs():
@@ -209,6 +214,27 @@ def test_unbalanced_instance_rejected():
         )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, sources, sinks, cost",
+    [
+        ("source_masses", [(0.0, NAN), (1.0, 1.0)], [(0.0, 1.0)], None),
+        ("sink_masses", [(0.0, 1.0)], [(0.0, 0.5), (1.0, NAN)], None),
+        ("source_points", [(NAN, 1.0)], [(0.0, 1.0)], None),
+        ("sink_points", [(0.0, 1.0)], [((0.0, INF), 1.0)], [[0.0]]),
+        ("cost", [(0.0, 0.5), (1.0, 0.5)], [(0.0, 1.0)], [[NAN], [1.0]]),
+        ("cost", [(0.0, 0.5), (1.0, 0.5)], [(0.0, 0.5), (1.0, 0.5)], [[INF, 1.0], [1.0, 1.0]]),
+        ("source_points have dimension 1, sink_points 2", [(1.0, 1.0)], [((0.0, 5.0), 1.0)], None),
+        ("source_points have dimension 3, sink_points 2", [((1.0, 2.0, 3.0), 1.0)], [((0.0, 5.0), 1.0)], None),
+    ],
+)
+def test_instance_refuses_non_finite_and_mixed_dimensions(field, sources, sinks, cost):
+    with pytest.raises(DomainError, match=field):
+        DiscreteInstance.from_weighted_points(sources, sinks, cost)
+
+
 def test_degenerate_supports_still_certify():
     # equal masses at equal points force degenerate pivots and a
     # disconnected optimal support
@@ -279,3 +305,51 @@ def test_simplex_and_certificate_pinned_bits():
     assert hashlib.sha256(plan.x.tobytes()).hexdigest() == (
         "434aed86b4a1b80c5d91d56728872844d42b918ce897b591e48f9a4d41b0d9a5"
     )
+
+
+def _dyadic_instance(rng, cost):
+    # masses on a dyadic lattice sum to 1 exactly
+    masses = []
+    for k in cost.shape:
+        w = rng.integers(1, 5, size=k).astype(float)
+        total = 2.0 ** np.ceil(np.log2(w.sum()))
+        w[0] += total - w.sum()
+        masses.append(w / total)
+    m, n = cost.shape
+    return DiscreteInstance(np.zeros((m, 1)), masses[0], np.zeros((n, 1)), masses[1], cost)
+
+
+def _outcome(solve, inst):
+    try:
+        plan = solve(inst)
+    except RuntimeError as exc:
+        return str(exc)
+    return plan.x.tobytes(), plan.objective
+
+
+def test_simplex_matches_reference_bits():
+    # the kept basis tree must reproduce the per-pivot walk to the last bit
+    rng = np.random.default_rng(1010)
+    instances = []
+    for k in range(40):  # one row or one column
+        size = int(rng.integers(1, 9))
+        instances.append(_dyadic_instance(rng, rng.random((1, size) if k % 2 else (size, 1))))
+    for k in range(160):  # tied integer costs force degenerate pivots
+        cost = rng.integers(0, 3, size=rng.integers(2, 7, size=2)).astype(float)
+        instances.append(_dyadic_instance(rng, cost * (1e6 if k % 3 == 0 else 1.0)))
+    for _ in range(100):
+        # near-ties at 1e6 leave rounding in the potentials: entering cells
+        # then depend on their last bits, and on some instances the
+        # reference runs into its iteration cap, which must be reproduced
+        shape = rng.integers(2, 6, size=2)
+        cost = rng.integers(0, 4, size=shape) * 1e6 + rng.integers(0, 3, size=shape) * 0.1
+        instances.append(_dyadic_instance(rng, cost))
+    instances += [random_instance(rng, max_size=12, dim=2) for _ in range(100)]
+    for _ in range(3):
+        p = 0.5 + rng.random(40)
+        q = 0.5 + rng.random(40)
+        instances.append(DiscreteInstance.from_weighted_points(
+            list(zip(rng.random((40, 2)), p / p.sum())), list(zip(rng.random((40, 2)), q / q.sum()))
+        ))
+    for inst in instances:
+        assert _outcome(solve_primal, inst) == _outcome(reference_simplex, inst)

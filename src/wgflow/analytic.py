@@ -44,29 +44,25 @@ class ExactSolution:
 # ---------------------------------------------------------------------------
 # exact isotonic projection of a piecewise affine function on (0, 1)
 #
-# Elements are quantile pieces [s0, s1, a, b] with value a + b*s; a pool, the
-# flat stretch produced by pooling, is a piece with b = 0 and a its pooled
-# value.  Decreasing input pieces enter as pools; violating junctions are
-# repaired right to left.  Pools absorb flat pieces wholesale and split
+# Elements are quantile pieces [s0, s1, x0, b] with value x0 + b*(s - s0); a
+# pool, the flat stretch produced by pooling, is a piece with b = 0 and x0 its
+# pooled value.  Decreasing input pieces enter as pools; violating junctions
+# are repaired right to left.  Pools absorb flat pieces wholesale and split
 # rising pieces at the point where the pooled mean meets the function value;
 # a pool flanked by rising pieces on both sides is resolved jointly, since
 # fitting one side at a time need not terminate.
 
 
-def _start_value(el):
-    return el[2] + el[3] * el[0]
-
-
 def _end_value(el):
-    return el[2] + el[3] * el[1]
+    return el[2] + el[3] * (el[1] - el[0])
 
 
-def _piece_mean(s0, s1, a, b):
-    return a + b * 0.5 * (s0 + s1)
+def _piece_mean(s0, s1, x0, b):
+    return x0 + b * 0.5 * (s1 - s0)
 
 
 def _violates(left, right) -> bool:
-    lo, hi = _start_value(right), _end_value(left)
+    lo, hi = right[2], _end_value(left)
     return lo < hi - 1e-12 * max(1.0, abs(lo), abs(hi))
 
 
@@ -82,27 +78,28 @@ def _pool(stack, k):
 def _eat_head(stack, k):
     """Pool at k extends into the rising piece at k+1 with a smooth fit."""
     ps0, ps1, v, _ = stack[k]
-    s0, s1, a, b = stack[k + 1]
+    s0, s1, x0, b = stack[k + 1]
     wp = ps1 - ps0
-    w = -wp + math.sqrt(wp * wp + 2.0 * wp * (v - a - b * s0) / b)
+    w = -wp + math.sqrt(wp * wp + 2.0 * wp * (v - x0) / b)
     if w >= s1 - s0:
         _pool(stack, k)
         return
     split = s0 + w
-    stack[k : k + 2] = [[ps0, split, a + b * split, 0.0], [split, s1, a, b]]
+    x_split = x0 + b * (split - s0)
+    stack[k : k + 2] = [[ps0, split, x_split, 0.0], [split, s1, x_split, b]]
 
 
 def _eat_tail(stack, k):
     """Pool at k+1 extends into the rising piece at k with a smooth fit."""
-    s0, s1, a, b = stack[k]
+    s0, s1, x0, b = stack[k]
     ps0, ps1, v, _ = stack[k + 1]
     wp = ps1 - ps0
-    w = -wp + math.sqrt(wp * wp - 2.0 * wp * (v - a - b * s1) / b)
+    w = -wp + math.sqrt(wp * wp - 2.0 * wp * (v - _end_value(stack[k])) / b)
     if w >= s1 - s0:
         _pool(stack, k)
         return
     split = s1 - w
-    stack[k : k + 2] = [[s0, split, a, b], [split, ps1, a + b * split, 0.0]]
+    stack[k : k + 2] = [[s0, split, x0, b], [split, ps1, x0 + b * (split - s0), 0.0]]
 
 
 def _joint_fit(stack, k):
@@ -117,13 +114,12 @@ def _joint_fit(stack, k):
     terminate: alternating single-sided fits can contract forever without
     reaching the common fit.
     """
-    l0, l1, a1, b1 = stack[k]
+    l0, l1, fa0, b1 = stack[k]
     p0, p1, v_pool, _ = stack[k + 1]
-    r0, r1, a2, b2 = stack[k + 2]
+    r0, r1, fb0, b2 = stack[k + 2]
     span_p = p1 - p0
     content = v_pool * span_p
-    fa0, fa1 = a1 + b1 * l0, a1 + b1 * l1
-    fb0, fb1 = a2 + b2 * r0, a2 + b2 * r1
+    fa1, fb1 = _end_value(stack[k]), _end_value(stack[k + 2])
     int_a = 0.5 * (fa0 + fa1) * (l1 - l0)
     int_b = 0.5 * (fb0 + fb1) * (r1 - r0)
     width_a = l1 - l0
@@ -153,22 +149,22 @@ def _joint_fit(stack, k):
     w = left_smooth(content, span_p)
     if w is not None:
         alpha = min(max(l1 - w, l0), l1)
-        v = a1 + b1 * alpha
+        v = fa0 + b1 * (alpha - l0)
         add(max(-w, w - width_a, v - fb0), alpha, p1, v)
 
     # (l1, smooth): leave A, fit inside B
     w = right_smooth(content, span_p)
     if w is not None:
         beta = min(max(r0 + w, r0), r1)
-        v = a2 + b2 * beta
+        v = fb0 + b2 * (beta - r0)
         add(max(-w, w - width_b, fa1 - v), p0, beta, v)
 
     # (smooth, smooth): common fit value; the defect is quadratic in v
     def g(v):
-        alpha = (v - a1) / b1
-        beta = (v - a2) / b2
-        eaten_a = a1 * (l1 - alpha) + 0.5 * b1 * (l1 * l1 - alpha * alpha)
-        eaten_b = a2 * (beta - r0) + 0.5 * b2 * (beta * beta - r0 * r0)
+        alpha = l0 + (v - fa0) / b1
+        beta = r0 + (v - fb0) / b2
+        eaten_a = 0.5 * (v + fa1) * (l1 - alpha)
+        eaten_b = 0.5 * (fb0 + v) * (beta - r0)
         return v * (beta - alpha) - (content + eaten_a + eaten_b)
 
     v_lo, v_hi = max(fa0, fb0), min(fa1, fb1)
@@ -186,8 +182,8 @@ def _joint_fit(stack, k):
                 sq = math.sqrt(disc)
                 roots = [(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)]
         for v in roots:
-            alpha = min(max((v - a1) / b1, l0), l1)
-            beta = min(max((v - a2) / b2, r0), r1)
+            alpha = min(max(l0 + (v - fa0) / b1, l0), l1)
+            beta = min(max(r0 + (v - fb0) / b2, r0), r1)
             add(max(v_lo - v, v - v_hi), alpha, beta, v)
 
     # (l0, r0): absorb A whole, leave B
@@ -202,14 +198,14 @@ def _joint_fit(stack, k):
     w = right_smooth(content + int_a, span_p + width_a)
     if w is not None:
         beta = min(max(r0 + w, r0), r1)
-        v = a2 + b2 * beta
+        v = fb0 + b2 * (beta - r0)
         add(max(-w, w - width_b, v - fa0), l0, beta, v)
 
     # (smooth, r1): fit inside A, absorb B whole
     w = left_smooth(content + int_b, span_p + width_b)
     if w is not None:
         alpha = min(max(l1 - w, l0), l1)
-        v = a1 + b1 * alpha
+        v = fa0 + b1 * (alpha - l0)
         add(max(-w, w - width_a, fb1 - v), alpha, r1, v)
 
     # (l0, r1): absorb both
@@ -219,10 +215,10 @@ def _joint_fit(stack, k):
     _, alpha, beta, v = min(candidates, key=lambda c: c[0])
     new: list[list] = []
     if alpha > l0:
-        new.append([l0, alpha, a1, b1])
+        new.append([l0, alpha, fa0, b1])
     new.append([alpha, beta, v, 0.0])
     if beta < r1:
-        new.append([beta, r1, a2, b2])
+        new.append([beta, r1, fb0 + b2 * (beta - r0), b2])
     stack[k : k + 3] = new
 
 
@@ -254,13 +250,13 @@ def _repair(stack):
 
 def _isotonic_pieces(pieces):
     """Isotonic projection of a piecewise affine function given as
-    (s0, s1, a, b) tuples with only upward jumps between pieces."""
+    (s0, s1, x0, b) tuples with only upward jumps between pieces."""
     stack: list[list] = []
-    for s0, s1, a, b in pieces:
+    for s0, s1, x0, b in pieces:
         if b >= 0.0:
-            stack.append([s0, s1, a, b])
+            stack.append([s0, s1, x0, b])
         else:
-            stack.append([s0, s1, _piece_mean(s0, s1, a, b), 0.0])
+            stack.append([s0, s1, _piece_mean(s0, s1, x0, b), 0.0])
         _repair(stack)
     return stack
 
@@ -270,8 +266,8 @@ def _transported_pieces(sol: ExactSolution, t: float):
     sign = 1.0 if sol.kind == KIND_REPULSIVE else -1.0
     shift = sign * sol.eta_abs * t
     return [
-        (s0, s1, a - shift, b + 2.0 * shift)
-        for s0, s1, a, b in quantile_pieces(sol.init)
+        (s0, s1, x0 + shift * (2.0 * s0 - 1.0), b + 2.0 * shift)
+        for s0, s1, x0, b in quantile_pieces(sol.init)
     ]
 
 
@@ -309,27 +305,28 @@ def exact_measure(sol: ExactSolution, t: float) -> Measure1D:
         if mass <= 0.0:
             continue
         if el[3] > 0.0:
-            pieces.append((_start_value(el), _end_value(el), mass))
+            pieces.append((el[2], _end_value(el), mass))
         else:
-            atoms.append((_start_value(el), mass))
+            atoms.append((el[2], mass))
     return Measure1D(atoms=tuple(atoms), pieces=tuple(pieces))
 
 
 def _integral(el, lo, hi):
-    """Integral of the piece over [lo, hi], from its start value."""
-    return (hi - lo) * (_start_value(el) + 0.5 * el[3] * ((lo - el[0]) + (hi - el[0])))
+    """Integral of the piece over [lo, hi]."""
+    return (hi - lo) * (el[2] + 0.5 * el[3] * ((lo - el[0]) + (hi - el[0])))
 
 
 def collapse_time(sol: ExactSolution) -> float:
     """Smallest time at which the attractive solution is constant in ``z``:
     the widest gap ``u(s) - l(s)`` over eta, with ``l(s)`` the mean of X0 over
     (0, s) and ``u(s)`` its mean over (s, 1).  It peaks as s -> 0 or 1, at a
-    junction, or in a rising piece ``a + b s`` where ``c2 s^2 + 2 q s = q``,
-    ``c2 = mean - a - b/2``, ``q = a s0 + b s0^2/2 - F(s0)``, F = int X0."""
+    junction, or in a rising piece ``x0 + b (s - s0)`` where
+    ``c2 s^2 + 2 q s = q``, ``c2 = mean - x0 + b (s0 - 1/2)`` and
+    ``q = s0 (x0 - b s0/2) - F(s0)``, F = int X0."""
     if sol.kind != KIND_ATTRACTIVE:
         raise DomainError("collapse time is defined for the attractive kind only")
     pieces = quantile_pieces(sol.init)
-    if _end_value(pieces[-1]) <= _start_value(pieces[0]):
+    if _end_value(pieces[-1]) <= pieces[0][2]:
         return 0.0
     # integrals below each piece summed from the bottom, above it from the top
     shares = [_integral(el, el[0], el[1]) for el in pieces]
@@ -337,11 +334,10 @@ def collapse_time(sol: ExactSolution) -> float:
     above = list(itertools.accumulate(shares[::-1], initial=0.0))[::-1]
     end = pieces[-1][1]  # the mass the pieces cover, 1 within MASS_TOL
     mean = above[0] / end
-    gap = max(mean - _start_value(pieces[0]), _end_value(pieces[-1]) - below[-1] / end)
+    gap = max(mean - pieces[0][2], _end_value(pieces[-1]) - below[-1] / end)
     for k, el in enumerate(pieces):
-        s0, s1, x0, b = el[0], el[1], _start_value(el), el[3]
+        s0, s1, x0, b = el
         levels = [s0] if k else []
-        # c2 and q from the start value x0 = a + b s0 rather than the intercept a
         c2, q = mean - x0 + b * (s0 - 0.5), s0 * (x0 - 0.5 * b * s0) - below[k]
         if b > 0.0 and q != 0.0 and q * (q + c2) >= 0.0:
             r = q + math.copysign(math.sqrt(q * (q + c2)), q)  # roots q / r and -r / c2

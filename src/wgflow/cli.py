@@ -35,6 +35,7 @@ from .analytic import (
     weak_residual,
 )
 from .jko import (
+    INNER_TOL_PER_POINT,
     ConvergenceFailure,
     FlowTrajectory,
     JkoConfig,
@@ -239,7 +240,7 @@ class ExperimentConfig:
             "n": self.n,
             "dt": self.dt,
             "t_end": self.t_end,
-            "inner_tol": 1e-10 * self.n if self.inner_tol is None else self.inner_tol,
+            "inner_tol": INNER_TOL_PER_POINT * self.n if self.inner_tol is None else self.inner_tol,
             "inner_max_iters": self.inner_max_iters,
             "out_dir": self.out_dir,
             "diagnostics": {

@@ -39,6 +39,8 @@ BACKTRACK_HALVINGS = 80
 # steps of |x|^1.5 at n=400 took 41 iterations and 41 passes at 1e-1, 27 and
 # 45 at 1e-3, 25 and 60 at 1e-6.
 CG_RTOL = 1e-3
+# Inner tolerance per grid point; an unset ``inner_tol`` is n times this.
+INNER_TOL_PER_POINT = 1e-10
 
 
 class ConvergenceFailure(RuntimeError):
@@ -70,7 +72,7 @@ class JkoConfig:
     """Scheme parameters: step size, grid size, horizon, inner stopping rule.
 
     ``inner_tol`` bounds the proximal-gradient norm of the (n-scaled) inner
-    objective and defaults to ``1e-10 * n``.
+    objective and defaults to ``INNER_TOL_PER_POINT * n``.
     """
 
     tau: float
@@ -87,7 +89,7 @@ class JkoConfig:
         if self.t_end < 0.0:
             raise DomainError(f"t_end {self.t_end} must be nonnegative")
         if self.inner_tol is None:
-            object.__setattr__(self, "inner_tol", 1e-10 * self.n)
+            object.__setattr__(self, "inner_tol", INNER_TOL_PER_POINT * self.n)
         if self.inner_tol <= 0.0:
             raise DomainError("inner_tol must be positive")
         if self.inner_max_iters < 1:

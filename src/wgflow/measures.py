@@ -4,9 +4,10 @@ functions and monotone rearrangements (quantile functions).
 
 The quantile function uses the strict-inequality pseudo-inverse
 ``X(s) = inf {x : M(x) > s}``.  It is piecewise affine, and it is held as
-``(s0, s1, a, b)`` pieces with ``X(s) = a + b*s`` on ``[s0, s1)``: the one
-quantile representation that grids, exact solutions and exact distances all
-evaluate through ``piece_index``.  All types are immutable value objects.
+``(s0, s1, x0, b)`` pieces with ``X(s) = x0 + b*(s - s0)`` on ``[s0, s1)``,
+so ``x0`` is the value where the piece starts: the one quantile
+representation that grids, exact solutions and exact distances all evaluate
+through ``piece_index``.  All types are immutable value objects.
 """
 
 from __future__ import annotations
@@ -175,8 +176,10 @@ def cdf(m: Measure1D, x: float) -> float:
 def quantile_pieces(m: Measure1D) -> list[tuple[float, float, float, float]]:
     """Affine pieces of the quantile function.
 
-    Returns ``(s0, s1, a, b)`` tuples with ``X(s) = a + b*s`` on ``[s0, s1)``;
-    atoms appear as flat pieces (b = 0), uniform stretches as rising pieces.
+    Returns ``(s0, s1, x0, b)`` tuples with ``X(s) = x0 + b*(s - s0)`` on
+    ``[s0, s1)``, where ``x0`` is the atom position or the segment breakpoint
+    the piece starts at; atoms appear as flat pieces (b = 0), uniform
+    stretches as rising pieces.
     The pieces are sorted, each starts where the previous one ends, and they
     cover (0, 1) up to the mass tolerance.
     """
@@ -198,8 +201,7 @@ def quantile_pieces(m: Measure1D) -> list[tuple[float, float, float, float]]:
                 dens += mass / (r - l)
         start, acc = acc, acc + dens * (hi - lo)
         if acc > start:
-            b = 1.0 / ((acc - start) / (hi - lo))
-            segs.append((start, acc, lo - start * b, b))
+            segs.append((start, acc, lo, 1.0 / ((acc - start) / (hi - lo))))
     return segs
 
 
@@ -212,10 +214,10 @@ def piece_index(ends: np.ndarray, s):
 
 def eval_pieces(pieces, s):
     """Value at levels ``s`` of the piecewise affine function given by
-    ``(s0, s1, a, b)`` pieces, levels past the last piece clamped to its end."""
+    ``(s0, s1, x0, b)`` pieces, levels past the last piece clamped to its end."""
     p = np.asarray(pieces, dtype=float)
-    s0, s1, a, b = p[piece_index(p[:, 1], s)].T
-    return (a + b * s0) + b * (np.minimum(s, s1) - s0)
+    s0, s1, x0, b = p[piece_index(p[:, 1], s)].T
+    return x0 + b * (np.minimum(s, s1) - s0)
 
 
 def quantile(m: Measure1D, s: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, piece_index, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, eval_pieces, piece_index, quantile_pieces
 
 BALANCE_TOL = 1e-12
 MARGINAL_TOL = 1e-9
@@ -160,29 +160,18 @@ def w2_exact_discrete(m1: Measure1D, m2: Measure1D) -> float:
     """Exact Wasserstein-2 distance between two measures.
 
     The squared distance is the integral over (0, 1) of the squared quantile
-    difference; both quantiles are piecewise affine, so the integrand is
-    integrated in closed form between consecutive piece ends of either
-    quantile, with each interval's pieces found by ``piece_index``.
+    difference.  Both quantiles are piecewise affine, so between consecutive
+    piece ends of either quantile the difference is ``d + b*(s - u)``, with
+    ``d`` its value at the interval's left end ``u`` and ``b`` the difference
+    of the slopes there, and the square integrates in closed form.
     """
     p1 = np.array(quantile_pieces(m1))
     p2 = np.array(quantile_pieces(m2))
     breaks = np.unique(np.concatenate([p1[:, :2].ravel(), p2[:, :2].ravel()]))
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    rows = zip(
-        breaks[:-1].tolist(),
-        breaks[1:].tolist(),
-        p1[piece_index(p1[:, 1], mids)].tolist(),
-        p2[piece_index(p2[:, 1], mids)].tolist(),
-    )
-    total = 0.0
-    for u, v, (_, _, a1, b1), (_, _, a2, b2) in rows:
-        a = a1 - a2
-        b = b1 - b2
-        total += (
-            a * a * (v - u)
-            + a * b * (v * v - u * u)
-            + b * b * (v**3 - u**3) / 3.0
-        )
+    u, h = breaks[:-1], np.diff(breaks)
+    d = eval_pieces(p1, u) - eval_pieces(p2, u)
+    b = p1[piece_index(p1[:, 1], u), 3] - p2[piece_index(p2[:, 1], u), 3]
+    total = np.sum(h * (d * d + d * b * h + b * b * h * h / 3.0))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -2,10 +2,12 @@
 
 These deliberately avoid the algorithms they check: the transport oracle
 enumerates every basis tree of the bipartite graph, the isotonic oracle does
-a lattice search, and gradients are checked by central differences.
+a lattice search, exact distances are integrated in rational arithmetic from
+the CDF, and gradients are checked by central differences.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -165,11 +167,63 @@ def dense_pair_hessian(beta, terms, x, m, v):
     return (h * dv) @ m, np.abs(h * dv) @ m
 
 
+# --- exact quantile distances -------------------------------------------------
+
+
+def rational_quantile_pieces(m):
+    """Quantile pieces ``(s0, s1, x0, slope)`` of the measure's float inputs in
+    exact rational arithmetic, read off the CDF: at each breakpoint ``x`` an
+    atom fills the levels from the left limit ``M(x-)`` to ``M(x)``, and
+    between breakpoints the CDF rises linearly to the next left limit."""
+    atoms = [(Fraction(x), Fraction(w)) for x, w in m.atoms]
+    segs = [(Fraction(l), Fraction(r), Fraction(w)) for l, r, w in m.pieces]
+
+    def cdf(x, closed):
+        total = sum(w for p, w in atoms if p < x or (closed and p == x))
+        return total + sum(w * min(max((x - l) / (r - l), 0), 1) for l, r, w in segs)
+
+    xs = sorted({p for p, _ in atoms} | {v for l, r, _ in segs for v in (l, r)})
+    pieces = []
+    for x, nxt in zip(xs, xs[1:] + [None]):
+        lo, hi = cdf(x, False), cdf(x, True)
+        if hi > lo:
+            pieces.append((lo, hi, x, Fraction(0)))
+        if nxt is not None and cdf(nxt, False) > hi:
+            top = cdf(nxt, False)
+            pieces.append((hi, top, x, (nxt - x) / (top - hi)))
+    return pieces
+
+
+def rational_w2_squared(m1, m2):
+    """Exact squared W2 distance of the float inputs: the integral over
+    (0, 1) of the squared difference of the rational quantiles, each held at
+    its last value past the mass it covers."""
+    p1, p2 = rational_quantile_pieces(m1), rational_quantile_pieces(m2)
+
+    def at(pieces, s):
+        """Value and slope of the quantile on the levels just above ``s``."""
+        for s0, s1, x0, b in pieces:
+            if s < s1:
+                return x0 + b * (s - s0), b
+        s0, s1, x0, b = pieces[-1]
+        return x0 + b * (s1 - s0), Fraction(0)
+
+    levels = {Fraction(0), Fraction(1)} | {s for p in p1 + p2 for s in p[:2]}
+    levels = sorted(s for s in levels if s <= 1)
+    total = Fraction(0)
+    for u, v in zip(levels, levels[1:]):
+        (x1, b1), (x2, b2) = at(p1, u), at(p2, u)
+        d, b, h = x1 - x2, b1 - b2, v - u
+        total += h * (d * d + d * b * h + b * b * h * h / 3)
+    return total
+
+
 # --- random inputs -----------------------------------------------------------
 
 
-def random_measure(rng, max_atoms=3, max_pieces=2):
-    """Random mixture of atoms and uniform segments with unit total mass."""
+def random_measure(rng, max_atoms=3, max_pieces=2, max_width=2.0):
+    """Random mixture of atoms and uniform segments with unit total mass,
+    segments between 0.1 and ``max_width`` wide."""
     from wgflow import Measure1D
 
     n_atoms = rng.integers(0, max_atoms + 1)
@@ -182,7 +236,7 @@ def random_measure(rng, max_atoms=3, max_pieces=2):
     pieces = []
     for k in range(n_pieces):
         left = float(rng.uniform(-3, 3))
-        width = float(rng.uniform(0.1, 2.0))
+        width = float(rng.uniform(0.1, max_width))
         pieces.append((left, left + width, float(weights[n_atoms + k])))
     return Measure1D(atoms=tuple(atoms), pieces=tuple(pieces))
 

@@ -250,6 +250,18 @@ def test_w2_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_w2_command_on_a_steep_piece_that_starts_late(tmp_path, capsys):
+    """An atom of 0.75 at 0 plus a uniform [0, 1000] of mass 0.25, against the
+    same measure shifted by 1e-3.  The rising quantile piece starts at level
+    0.75 with slope 4000, so its line meets level 0 near -3000; a distance
+    formed from values there keeps only about ten digits of the shift."""
+    a = _write(tmp_path / "a.json", {"atoms": [[0.0, 0.75]], "pieces": [[0.0, 1000.0, 0.25]]})
+    b = _write(tmp_path / "b.json", {"atoms": [[1e-3, 0.75]], "pieces": [[1e-3, 1000.001, 0.25]]})
+    assert main(["w2", a, b]) == 0
+    assert capsys.readouterr().out.strip() == "0.00100000000000"
+    capsys.readouterr()
+
+
 def test_ot_command(tmp_path, capsys):
     identity = {
         "sources": [[[0.0], 0.5], [[1.0], 0.5]],
@@ -511,9 +523,9 @@ GOLDEN_SHA256 = {
         "0ab0db5fded3710064eddc80a8484c03d3c9f3b6c71ad871b6844ea257c969f3",
     ),
     "exact": (
-        "0beb483bcbeedd9f956cb7de925de9bf0146b77c85103aa16646c71b3886a0dd",
-        "15f0ffb4c34d5b5919abb919eb1bd837a43e44a0386e8fafe2f817a557f6a3b8",
-        "2eddd598d007985a32d6ee173841998bedbd8cdc20ac7a5cf9a984fd825fd103",
+        "ff5b80dab42439d08d4546ede8b92556957a7343884bcb4d7c099d1f7e599a4a",
+        "3b903395c362c013199805d89ddbaf7e06409a003c106a355ebddea248bb4fa0",
+        "4d1fb8c0a267fdf7412f28aab0b89ebfb9cc6e6c9ea1f873c886dafa7b7a1f9d",
     ),
 }
 

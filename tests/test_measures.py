@@ -168,6 +168,8 @@ def test_second_moment_converges_first_order():
 
 
 def test_quantile_pieces_cover_unit_interval():
+    """The pieces tile (0, 1), and each piece's ``x0`` is, bit for bit, the
+    atom position or segment breakpoint where it starts."""
     rng = np.random.default_rng(23)
     for _ in range(50):
         m = random_measure(rng)
@@ -177,6 +179,12 @@ def test_quantile_pieces_cover_unit_interval():
         for (s0, s1, _, _), (t0, _, _, _) in zip(segs, segs[1:]):
             assert s1 == pytest.approx(t0, abs=1e-12)
             assert s1 > s0
+        atoms = {x for x, _ in m.atoms}
+        breaks = sorted(atoms | {v for l, r, _ in m.pieces for v in (l, r)})
+        for s0, s1, x0, b in segs:
+            assert x0 in (atoms if b == 0.0 else breaks)
+            # an atom fills the levels up to cdf(x0), a rising piece starts there
+            assert cdf(m, x0) == pytest.approx(s1 if b == 0.0 else s0, abs=1e-12)
 
 
 def test_json_round_trip():

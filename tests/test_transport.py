@@ -18,6 +18,7 @@ from oracles import (
     exhaustive_transport_minimum,
     random_instance,
     random_measure,
+    rational_w2_squared,
     reference_simplex,
 )
 
@@ -59,6 +60,27 @@ def test_metric_axioms_on_random_triples():
         dba = w2_exact_discrete(b, a)
         assert dab == dba
         assert w2_exact_discrete(a, c) <= dab + w2_exact_discrete(b, c) + 1e-12
+
+
+def test_w2_exact_matches_rational_oracle():
+    """Pieces up to 1e3 wide, every other pair a translate by 1e-3 to 1e-1,
+    so the quantile difference is small against the quantile values and
+    forming it from values far from the pieces (such as intercepts at s = 0)
+    shows as a relative error far above 1e-8; about 1e-10 remains from
+    rounding the values themselves."""
+    rng = np.random.default_rng(2026)
+    for k in range(400):
+        m1 = random_measure(rng, max_width=1e3)
+        if k % 2:
+            shift = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, -1.0))
+            m2 = Measure1D(
+                atoms=tuple((x + shift, w) for x, w in m1.atoms),
+                pieces=tuple((l + shift, r + shift, w) for l, r, w in m1.pieces),
+            )
+        else:
+            m2 = random_measure(rng, max_width=1e3)
+        exact = float(rational_w2_squared(m1, m2)) ** 0.5
+        assert w2_exact_discrete(m1, m2) == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
 def test_grid_distance_converges_to_exact():

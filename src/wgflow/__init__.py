@@ -27,6 +27,7 @@ from .potential import (
 from .transport import (
     DiscreteInstance,
     DualSolution,
+    PivotCapReached,
     TransportPlan,
     solve_dual,
     solve_primal,

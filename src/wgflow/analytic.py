@@ -47,10 +47,12 @@ class ExactSolution:
 # Elements are quantile pieces [s0, s1, x0, b] with value x0 + b*(s - s0); a
 # pool, the flat stretch produced by pooling, is a piece with b = 0 and x0 its
 # pooled value.  Decreasing input pieces enter as pools; violating junctions
-# are repaired right to left.  Pools absorb flat pieces wholesale and split
-# rising pieces at the point where the pooled mean meets the function value;
-# a pool flanked by rising pieces on both sides is resolved jointly, since
-# fitting one side at a time need not terminate.
+# are repaired right to left.  Two pools merge at their mean.  A pool next to
+# a rising piece is refit against every rising neighbour at once, since
+# fitting one side at a time need not terminate: it takes over the stretch of
+# the left neighbour above its value and of the right neighbour below it, and
+# its value is the input's mean over that span, the one root of a decreasing
+# piecewise quadratic, found in closed form.
 
 
 def _end_value(el):
@@ -75,151 +77,71 @@ def _pool(stack, k):
     stack[k : k + 2] = [[left[0], right[1], v, 0.0]]
 
 
-def _eat_head(stack, k):
-    """Pool at k extends into the rising piece at k+1 with a smooth fit."""
-    ps0, ps1, v, _ = stack[k]
-    s0, s1, x0, b = stack[k + 1]
-    wp = ps1 - ps0
-    w = -wp + math.sqrt(wp * wp + 2.0 * wp * (v - x0) / b)
-    if w >= s1 - s0:
-        _pool(stack, k)
-        return
-    split = s0 + w
-    x_split = x0 + b * (split - s0)
-    stack[k : k + 2] = [[ps0, split, x_split, 0.0], [split, s1, x_split, b]]
+def _fit(stack, k):
+    """Refit the pool stack[k] against each rising neighbour present.
 
-
-def _eat_tail(stack, k):
-    """Pool at k+1 extends into the rising piece at k with a smooth fit."""
-    s0, s1, x0, b = stack[k]
-    ps0, ps1, v, _ = stack[k + 1]
-    wp = ps1 - ps0
-    w = -wp + math.sqrt(wp * wp - 2.0 * wp * (v - _end_value(stack[k])) / b)
-    if w >= s1 - s0:
-        _pool(stack, k)
-        return
-    split = s1 - w
-    stack[k : k + 2] = [[s0, split, x0, b], [split, ps1, x0 + b * (split - s0), 0.0]]
-
-
-def _joint_fit(stack, k):
-    """Refit a pool flanked by rising pieces: stack[k..k+2] = [A, P, B].
-
-    The pooled interval [alpha, beta] of the local solution has each end
-    either at a smooth-fit point (pool value equals the piece value there)
-    or at the outer edge of the flanking piece (that piece fully absorbed).
-    Every end pattern is closed form; the pattern whose side conditions hold
-    (scored, so boundary ties resolve cleanly) is the local solution.
-    Resolving the triple in one shot is what makes the repair loop
-    terminate: alternating single-sided fits can contract forever without
-    reaching the common fit.
+    At value v the pool covers the stretch of the left neighbour that lies
+    above v and the stretch of the right one that lies below v, each clamped
+    to its piece: its span is [alpha(v), beta(v)].  g(v), the integral of
+    X - v over that span, has slope -(beta - alpha) and bends only at the
+    neighbours' end values, so it decreases and is quadratic between those
+    knots.  The highest knot u with g(u) >= 0 (or the lowest knot, when there
+    is none) brackets the root.  Just above u the span grows at rate c, the
+    sum of +1/b for an unclamped right piece and -1/b for an unclamped left
+    piece, and below every knot c = 0.  With w the span at u,
+    g(u + d) = g(u) - w d - c d^2 / 2, whose root nearest u is
+    d = 2 g(u) / (w + sqrt(w^2 + 2 c g(u))).  Covered widths are computed
+    from the value, not as differences of levels, to keep g accurate.
     """
-    l0, l1, fa0, b1 = stack[k]
-    p0, p1, v_pool, _ = stack[k + 1]
-    r0, r1, fb0, b2 = stack[k + 2]
-    span_p = p1 - p0
-    content = v_pool * span_p
-    fa1, fb1 = _end_value(stack[k]), _end_value(stack[k + 2])
-    int_a = 0.5 * (fa0 + fa1) * (l1 - l0)
-    int_b = 0.5 * (fb0 + fb1) * (r1 - r0)
-    width_a = l1 - l0
-    width_b = r1 - r0
+    p0, p1, v_pool, _ = stack[k]
+    # a side is (piece, sign, value at the end next to the pool, value at its far end)
+    left = right = None
+    if k > 0 and stack[k - 1][3] > 0.0:
+        el = stack[k - 1]
+        left = (el, -1.0, _end_value(el), el[2])
+    if k + 1 < len(stack) and stack[k + 1][3] > 0.0:
+        el = stack[k + 1]
+        right = (el, 1.0, el[2], _end_value(el))
+    sides = [side for side in (left, right) if side is not None]
 
-    def _root(arg):
-        return math.sqrt(arg) if arg >= 0.0 else None
+    def covered(side, v):
+        """Width of the side's piece that the pool covers at value v."""
+        el, sign, near, far = side
+        if sign * (v - near) <= 0.0:
+            return 0.0
+        if sign * (v - far) >= 0.0:
+            return el[1] - el[0]
+        return min(sign * (v - near) / el[3], el[1] - el[0])
 
-    def left_smooth(extra_content, base_span):
-        """Eat w off A's tail so that mean = f_A(l1 - w); None if no root."""
-        w = _root(base_span * base_span - 2.0 * (extra_content - fa1 * base_span) / b1)
-        return None if w is None else w - base_span
-
-    def right_smooth(extra_content, base_span):
-        """Eat w off B's head so that mean = f_B(r0 + w); None if no root."""
-        w = _root(base_span * base_span - 2.0 * (fb0 * base_span - extra_content) / b2)
-        return None if w is None else w - base_span
-
-    # every end pattern is scored by its worst violated side condition; the
-    # true local solution scores zero up to roundoff
-    candidates: list[tuple[float, float, float, float]] = []
-
-    def add(score, alpha, beta, v):
-        candidates.append((max(score, 0.0), alpha, beta, v))
-
-    # (smooth, r0): fit inside A, leave B
-    w = left_smooth(content, span_p)
-    if w is not None:
-        alpha = min(max(l1 - w, l0), l1)
-        v = fa0 + b1 * (alpha - l0)
-        add(max(-w, w - width_a, v - fb0), alpha, p1, v)
-
-    # (l1, smooth): leave A, fit inside B
-    w = right_smooth(content, span_p)
-    if w is not None:
-        beta = min(max(r0 + w, r0), r1)
-        v = fb0 + b2 * (beta - r0)
-        add(max(-w, w - width_b, fa1 - v), p0, beta, v)
-
-    # (smooth, smooth): common fit value; the defect is quadratic in v
     def g(v):
-        alpha = l0 + (v - fa0) / b1
-        beta = r0 + (v - fb0) / b2
-        eaten_a = 0.5 * (v + fa1) * (l1 - alpha)
-        eaten_b = 0.5 * (fb0 + v) * (beta - r0)
-        return v * (beta - alpha) - (content + eaten_a + eaten_b)
+        """The integral of X - v over the span at value v, and the span."""
+        total, span = (p1 - p0) * (v_pool - v), p1 - p0
+        for side in sides:
+            el, sign, near, _ = side
+            h = covered(side, v)
+            total += h * (near + sign * 0.5 * el[3] * h - v)
+            span += h
+        return total, span
 
-    v_lo, v_hi = max(fa0, fb0), min(fa1, fb1)
-    if v_lo <= v_hi:
-        g0, g1, g2 = g(0.0), g(1.0), g(2.0)
-        c2 = 0.5 * (g2 - 2.0 * g1 + g0)
-        c1 = g1 - g0 - c2
-        roots = []
-        if abs(c2) < 1e-14 * max(1.0, abs(c1), abs(g0)):
-            if c1 != 0.0:
-                roots = [-g0 / c1]
-        else:
-            disc = c1 * c1 - 4.0 * c2 * g0
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                roots = [(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)]
-        for v in roots:
-            alpha = min(max(l0 + (v - fa0) / b1, l0), l1)
-            beta = min(max(r0 + (v - fb0) / b2, r0), r1)
-            add(max(v_lo - v, v - v_hi), alpha, beta, v)
-
-    # (l0, r0): absorb A whole, leave B
-    v = (content + int_a) / (span_p + width_a)
-    add(max(v - fa0, v - fb0), l0, p1, v)
-
-    # (l1, r1): leave A, absorb B whole
-    v = (content + int_b) / (span_p + width_b)
-    add(max(fb1 - v, fa1 - v), p0, r1, v)
-
-    # (l0, smooth): absorb A whole, fit inside B
-    w = right_smooth(content + int_a, span_p + width_a)
-    if w is not None:
-        beta = min(max(r0 + w, r0), r1)
-        v = fb0 + b2 * (beta - r0)
-        add(max(-w, w - width_b, v - fa0), l0, beta, v)
-
-    # (smooth, r1): fit inside A, absorb B whole
-    w = left_smooth(content + int_b, span_p + width_b)
-    if w is not None:
-        alpha = min(max(l1 - w, l0), l1)
-        v = fa0 + b1 * (alpha - l0)
-        add(max(-w, w - width_a, fb1 - v), alpha, r1, v)
-
-    # (l0, r1): absorb both
-    v = (content + int_a + int_b) / (span_p + width_a + width_b)
-    add(max(v - fa0, fb1 - v), l0, r1, v)
-
-    _, alpha, beta, v = min(candidates, key=lambda c: c[0])
-    new: list[list] = []
-    if alpha > l0:
-        new.append([l0, alpha, fa0, b1])
-    new.append([alpha, beta, v, 0.0])
-    if beta < r1:
-        new.append([beta, r1, fb0 + b2 * (beta - r0), b2])
-    stack[k : k + 3] = new
+    for u in sorted({x for side in sides for x in side[2:]}, reverse=True):
+        gu, w = g(u)
+        if gu >= 0.0:
+            break
+    # the span's growth rate just above u, or 0 below every knot
+    c = 0.0
+    if gu >= 0.0:
+        c = sum(sign / el[3] for el, sign, near, far in sides if min(near, far) <= u < max(near, far))
+    v = u + 2.0 * gu / (w + math.sqrt(w * w + 2.0 * c * gu))
+    alpha, beta, head, tail = p0, p1, [], []
+    if left is not None:
+        el, h = left[0], covered(left, v)
+        alpha = max(p0 - h, el[0]) if h < el[1] - el[0] else el[0]
+        head = [[el[0], alpha, el[2], el[3]]] if alpha > el[0] else []
+    if right is not None:
+        el, h = right[0], covered(right, v)
+        beta = min(p1 + h, el[1]) if h < el[1] - el[0] else el[1]
+        tail = [[beta, el[1], el[2] + el[3] * (beta - el[0]), el[3]]] if beta < el[1] else []
+    stack[k - (left is not None) : k + 1 + (right is not None)] = head + [[alpha, beta, v, 0.0]] + tail
 
 
 def _repair(stack):
@@ -233,16 +155,8 @@ def _repair(stack):
         left, right = stack[bad], stack[bad + 1]
         if left[3] == 0.0 and right[3] == 0.0:
             _pool(stack, bad)
-        elif left[3] == 0.0:
-            if bad - 1 >= 0 and stack[bad - 1][3] > 0.0:
-                _joint_fit(stack, bad - 1)
-            else:
-                _eat_head(stack, bad)
-        elif right[3] == 0.0:
-            if bad + 2 < len(stack) and stack[bad + 2][3] > 0.0:
-                _joint_fit(stack, bad)
-            else:
-                _eat_tail(stack, bad)
+        elif left[3] == 0.0 or right[3] == 0.0:
+            _fit(stack, bad if left[3] == 0.0 else bad + 1)
         else:
             raise AssertionError("rising pieces cannot violate each other")
     raise RuntimeError("isotonic repair did not terminate")

@@ -6,9 +6,10 @@ parameter; ``w2`` prints the exact distance between two measure files;
 ``ot`` solves a discrete transport instance and prints the primal and dual
 objectives with their gap.
 
-Exit codes: 0 success, 2 invalid input, 3 inner-solver failure.  CSV floats
-are written with 17 significant digits and '.' decimals so identical runs
-are byte-identical.
+Exit codes: 0 success, 2 invalid input, 3 solver failure: the implicit
+step's inner solver for ``run``, or the transportation simplex at its pivot
+cap for ``ot``.  CSV floats are written with 17 significant digits and '.'
+decimals so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .jko import (
 from .measures import DomainError, Measure1D, midpoint_nodes, to_quantile_grid
 from .particles import ParticleState, integrate, quantile_trajectory
 from .potential import Potential, convexity_certificate
-from .transport import DiscreteInstance, solve_dual, solve_primal, w2_exact_discrete
+from .transport import DiscreteInstance, PivotCapReached, solve_dual, solve_primal, w2_exact_discrete
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -407,6 +408,8 @@ def cmd_ot(path: str, plan_out: str | None = None) -> int:
     try:
         plan = solve_primal(inst)
         dual = solve_dual(inst, plan)
+    except PivotCapReached as exc:
+        return _error_record("simplex", EXIT_SOLVER, pivots=exc.pivots, message=str(exc))
     except DomainError as exc:
         return _error_record("domain", EXIT_CONFIG, message=str(exc))
     gap = abs(plan.objective - dual.objective)

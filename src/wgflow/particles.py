@@ -65,15 +65,6 @@ def interaction_energy(W: Potential, st: ParticleState) -> float:
     return pair_energy(W, st.positions, st.masses)
 
 
-def _merge_group(x, m, lo, hi):
-    """Replace particles lo..hi (inclusive) by their sticky merge."""
-    mass = m[lo : hi + 1].sum()
-    pos = float(np.dot(x[lo : hi + 1], m[lo : hi + 1]) / mass)
-    x_new = np.concatenate([x[:lo], [pos], x[hi + 1 :]])
-    m_new = np.concatenate([m[:lo], [mass], m[hi + 1 :]])
-    return x_new, m_new
-
-
 def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> list[ParticleState]:
     """Advance the particle system to ``t_end``, recording every substep.
 
@@ -107,11 +98,13 @@ def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> list
             pairs = np.flatnonzero(hit | (gap == 0.0))
             runs = np.split(pairs, np.flatnonzero(np.diff(pairs) > 1) + 1)
             for grp in reversed([run for run in runs if hit[run].any()]):
-                lo, hi = int(grp[0]), int(grp[-1]) + 1
-                meet = float(np.dot(x[lo : hi + 1], m[lo : hi + 1]) / m[lo : hi + 1].sum())
-                x[lo : hi + 1] = meet
+                lo, hi = int(grp[0]), int(grp[-1]) + 2
+                mass = m[lo:hi].sum()
+                x[lo:hi] = float(np.dot(x[lo:hi], m[lo:hi]) / mass)
                 if W.eta >= 0.0:
-                    x, m = _merge_group(x, m, lo, hi)
+                    # sticky merge: the run becomes one particle at the meeting point
+                    x = np.delete(x, np.s_[lo + 1 : hi])
+                    m = np.concatenate([m[:lo], [mass], m[hi:]])
         if np.any(np.diff(x) < 0.0):
             raise RuntimeError("particle ordering violated during integration")
         out.append(ParticleState(x, m, t))

@@ -23,6 +23,15 @@ DUALITY_TOL = 1e-7
 _SUPPORT_TOL = 1e-12
 
 
+class PivotCapReached(RuntimeError):
+    """The transportation simplex made ``pivots`` pivots, its cap of
+    ``200*m*n + 200``, without reaching an optimal basis."""
+
+    def __init__(self, pivots: int):
+        super().__init__("transportation simplex did not terminate")
+        self.pivots = pivots
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteInstance:
     """A balanced discrete transport instance.
@@ -261,7 +270,8 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
     until the two paths meet.  The leaving cell cuts off a subtree; it is
     hung by the entering cell under the rest, and its potentials alone are
     set again.  Every potential is thus computed along its tree path from
-    row 0 with the same arithmetic as a walk of the whole tree.
+    row 0 with the same arithmetic as a walk of the whole tree.  After
+    ``200*m*n + 200`` pivots it gives up with ``PivotCapReached``.
     """
     p = inst.source_masses
     q = inst.sink_masses
@@ -286,7 +296,8 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
         _hang(adj, c, parent, depth, pot, m, a, b)
     if -1 in depth:
         raise RuntimeError("basis graph is not a spanning tree")
-    for _ in range(200 * m * n + 200):
+    cap = 200 * m * n + 200
+    for _ in range(cap):
         uv = np.array(pot)
         entering = (cost - uv[:m, None] - uv[None, m:] < -1e-12) & nonbasic
         k = int(entering.argmax())  # the least index, as Bland's rule asks
@@ -326,7 +337,7 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
         else:
             _hang(adj, c, parent, depth, pot, m, i0, m + j0)
     else:
-        raise RuntimeError("transportation simplex did not terminate")
+        raise PivotCapReached(cap)
     x = np.array(x)
     x[x < 0.0] = 0.0
     plan = TransportPlan(x, float(np.sum(cost * x)))

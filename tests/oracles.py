@@ -112,6 +112,53 @@ def lattice_isotonic(y, lo, hi, steps=161):
     return np.array(best)
 
 
+def isotonic_kkt_defect(sol, t):
+    """Largest violation of the optimality conditions of the exact isotonic
+    projection ``analytic._structure(sol, t)`` of the transported pieces
+    ``Y = analytic._transported_pieces(sol, t)``: the output tiles the same
+    levels and is nondecreasing, its rising pieces equal ``Y``, each pool's
+    value ``v`` is the mean of ``Y`` over the pool ``[alpha, beta]``, and
+    ``int_alpha^s (Y - v) >= 0`` at every knot of ``Y`` inside the pool and
+    wherever a rising piece of ``Y`` crosses ``v`` there (the only places
+    the partial integral can have a minimum)."""
+    from wgflow.analytic import _structure, _transported_pieces
+
+    ys = _transported_pieces(sol, t)
+    out = _structure(sol, t)
+
+    def y_integral(lo, hi, v):
+        """Integral of Y - v over [lo, hi]."""
+        total = 0.0
+        for s0, s1, x0, b in ys:
+            a, c = max(lo, s0), min(hi, s1)
+            if a < c:
+                total += (c - a) * (x0 + 0.5 * b * ((a - s0) + (c - s0)) - v)
+        return total
+
+    def end(el):
+        return el[2] + el[3] * (el[1] - el[0])
+
+    defect = max(abs(out[0][0] - ys[0][0]), abs(out[-1][1] - ys[-1][1]))
+    for el, nxt in zip(out, out[1:]):
+        defect = max(defect, abs(el[1] - nxt[0]), end(el) - nxt[2])
+    for el in out:
+        s0, s1, x0, b = el
+        defect = max(defect, -b * (s1 - s0))
+        if b > 0.0:
+            for y0, y1, yx, yb in ys:
+                lo, hi = max(s0, y0), min(s1, y1)
+                for s in (lo, hi) if lo < hi else ():
+                    defect = max(defect, abs(x0 + b * (s - s0) - (yx + yb * (s - y0))))
+            continue
+        defect = max(defect, abs(y_integral(s0, s1, x0)) / (s1 - s0))
+        levels = [y for y0, y1, _, _ in ys for y in (y0, y1)]
+        levels += [y0 + (x0 - yx) / yb for y0, _, yx, yb in ys if yb > 0.0]
+        for s in levels:
+            if s0 < s < s1:
+                defect = max(defect, -y_integral(s0, s, x0))
+    return defect
+
+
 # --- finite differences -----------------------------------------------------
 
 

@@ -262,9 +262,25 @@ def test_pooled_structure_matches_sampled_pava():
         assert np.max(np.abs(ours - reference[sub])) <= 30.0 / samples
 
 
+def test_pooled_structure_meets_isotonic_optimality():
+    """The closed-form structure meets the projection's optimality
+    conditions to rounding, not to a sampling resolution."""
+    from oracles import isotonic_kkt_defect, random_measure
+
+    from wgflow.analytic import _transported_pieces
+
+    rng = np.random.default_rng(2468)
+    for _ in range(200):
+        sol = ExactSolution(KIND_ATTRACTIVE, random_measure(rng), float(rng.uniform(0.3, 2.5)))
+        t = float(rng.uniform(0.0, 4.0))
+        pieces = _transported_pieces(sol, t)
+        x_max = max(max(abs(x0), abs(x0 + b * (s1 - s0))) for s0, s1, x0, b in pieces)
+        assert isotonic_kkt_defect(sol, t) <= 1e-12 * (1.0 + x_max)
+
+
 # exact_grid(sol, t, 8) for PINNED_SOLUTION, as float.hex; the times reach
 # pooling of two pools, a pool swallowing a whole neighbour on either side,
-# the one-sided smooth fits and the joint fit of a pool between rising pieces
+# and fits of a pool against a rising piece on one side and on both
 PINNED_SOLUTION = ExactSolution(
     KIND_ATTRACTIVE,
     Measure1D(
@@ -278,31 +294,31 @@ PINNED_GRIDS = {
         "-0x1.5000000000000p+0", "-0x1.e000000000000p-1",
         "-0x1.9999999999999p-1", "-0x1.e66666666666cp-3",
         "0x1.7ffffffffffffp-2", "0x1.7ffffffffffffp-2",
-        "0x1.a666666666663p+0", "0x1.f000000000000p+0",
+        "0x1.a666666666666p+0", "0x1.f000000000000p+0",
     ),
     1.9: (
-        "-0x1.47ae147ae147dp-3", "-0x1.47ae147ae147dp-3",
-        "-0x1.47ae147ae147dp-3", "-0x1.000000000000dp-4",
+        "-0x1.47ae147ae147ep-3", "-0x1.47ae147ae147ep-3",
+        "-0x1.47ae147ae147ep-3", "-0x1.000000000000dp-4",
         "0x1.2c85fbdeebcb8p-5", "0x1.2c85fbdeebcb8p-5",
-        "0x1.570a3d70a3d6dp-1", "0x1.6ccccccccccccp-1",
+        "0x1.570a3d70a3d70p-1", "0x1.6ccccccccccccp-1",
     ),
     2.3: (
-        "0x1.0d2a6c405d9dap-5", "0x1.0d2a6c405d9dap-5",
-        "0x1.0d2a6c405d9dap-5", "0x1.0d2a6c405d9dap-5",
-        "0x1.0d2a6c405d9dap-5", "0x1.0d2a6c405d9dap-5",
-        "0x1.8f5c28f5c28ebp-2", "0x1.8f5c28f5c28ebp-2",
+        "0x1.0d2a6c405d9e1p-5", "0x1.0d2a6c405d9e1p-5",
+        "0x1.0d2a6c405d9e1p-5", "0x1.0d2a6c405d9e1p-5",
+        "0x1.0d2a6c405d9e1p-5", "0x1.0d2a6c405d9e1p-5",
+        "0x1.8f5c28f5c28f5p-2", "0x1.8f5c28f5c28f5p-2",
     ),
     2.5: (
-        "0x1.776d54612670ap-4", "0x1.776d54612670ap-4",
-        "0x1.776d54612670ap-4", "0x1.776d54612670ap-4",
-        "0x1.776d54612670ap-4", "0x1.776d54612670ap-4",
+        "0x1.776d546126702p-4", "0x1.776d546126702p-4",
+        "0x1.776d546126702p-4", "0x1.776d546126702p-4",
+        "0x1.776d546126702p-4", "0x1.776d546126702p-4",
         "0x1.ffffffffffffap-3", "0x1.ffffffffffffap-3",
     ),
     2.9: (
-        "0x1.1eb851eb851e9p-3", "0x1.1eb851eb851e9p-3",
-        "0x1.1eb851eb851e9p-3", "0x1.1eb851eb851e9p-3",
-        "0x1.1eb851eb851e9p-3", "0x1.1eb851eb851e9p-3",
-        "0x1.1eb851eb851e9p-3", "0x1.1eb851eb851e9p-3",
+        "0x1.1eb851eb851e8p-3", "0x1.1eb851eb851e8p-3",
+        "0x1.1eb851eb851e8p-3", "0x1.1eb851eb851e8p-3",
+        "0x1.1eb851eb851e8p-3", "0x1.1eb851eb851e8p-3",
+        "0x1.1eb851eb851e8p-3", "0x1.1eb851eb851e8p-3",
     ),
 }
 

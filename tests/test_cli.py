@@ -368,6 +368,26 @@ def test_run_failure_record_writes_nonfinite_residuals_as_null(tmp_path, capsys,
     assert record["residuals"] == [None]
 
 
+def test_ot_simplex_cap_record(tmp_path, capsys, monkeypatch):
+    import wgflow.cli as cli
+    from wgflow import PivotCapReached
+
+    def capped(inst):
+        raise PivotCapReached(1000)
+
+    monkeypatch.setattr(cli, "solve_primal", capped)
+    payload = {"sources": [[[0.0], 1.0]], "sinks": [[[1.0], 1.0]]}
+    assert main(["ot", _write(tmp_path / "i.json", payload)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "simplex",
+        "exit_code": 3,
+        "pivots": 1000,
+        "message": "transportation simplex did not terminate",
+    }
+
+
 def test_run_near_linear_power_from_dirac(tmp_path):
     # a positive power with p near 1 has curvature unbounded at ties
     cfg = dict(REPULSIVE_DIRAC_RUN, tau=0.025, n=2, t_end=0.1)

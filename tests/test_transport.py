@@ -7,6 +7,7 @@ from wgflow import (
     DiscreteInstance,
     DomainError,
     Measure1D,
+    PivotCapReached,
     QuantileGrid,
     solve_dual,
     solve_primal,
@@ -375,3 +376,16 @@ def test_simplex_matches_reference_bits():
         ))
     for inst in instances:
         assert _outcome(solve_primal, inst) == _outcome(reference_simplex, inst)
+
+
+def test_simplex_cap_is_a_named_failure():
+    # near-ties at 1e6 defeat the absolute reduced-cost threshold on this
+    # 11x12 instance: Bland's rule keeps pivoting until the cap
+    rng = np.random.default_rng(1)
+    m, n = (int(k) for k in rng.integers(8, 16, size=2))
+    cost = rng.integers(0, 4, (m, n)) * 1e6 + rng.integers(0, 3, (m, n)) * 0.1
+    inst = DiscreteInstance(np.zeros((m, 1)), np.full(m, 1.0 / m), np.zeros((n, 1)), np.full(n, 1.0 / n), cost)
+    with pytest.raises(PivotCapReached, match="^transportation simplex did not terminate$") as caught:
+        solve_primal(inst)
+    assert (m, n) == (11, 12)
+    assert caught.value.pivots == 200 * m * n + 200

@@ -80,18 +80,18 @@ def _pool(stack, k):
 def _fit(stack, k):
     """Refit the pool stack[k] against each rising neighbour present.
 
-    At value v the pool covers the stretch of the left neighbour that lies
-    above v and the stretch of the right one that lies below v, each clamped
-    to its piece: its span is [alpha(v), beta(v)].  g(v), the integral of
-    X - v over that span, has slope -(beta - alpha) and bends only at the
-    neighbours' end values, so it decreases and is quadratic between those
-    knots.  The highest knot u with g(u) >= 0 (or the lowest knot, when there
-    is none) brackets the root.  Just above u the span grows at rate c, the
-    sum of +1/b for an unclamped right piece and -1/b for an unclamped left
-    piece, and below every knot c = 0.  With w the span at u,
-    g(u + d) = g(u) - w d - c d^2 / 2, whose root nearest u is
-    d = 2 g(u) / (w + sqrt(w^2 + 2 c g(u))).  Covered widths are computed
-    from the value, not as differences of levels, to keep g accurate.
+    At value v the pool spans [alpha(v), beta(v)]: the stretch of the left
+    neighbour above v and of the right one below v, each clamped to its
+    piece.  g(v), the integral of X - v over the span, has slope
+    -(beta - alpha) and bends only at the neighbours' end values, so it
+    decreases and is quadratic between those knots.  Above the highest knot
+    u with g(u) >= 0, up to the next knot, the span grows at rate c: +1/b for
+    an unclamped right piece, -1/b for an unclamped left one; below every
+    knot c = 0.  With w the span at a knot u', g(u' + d) = g(u') - w d -
+    c d^2 / 2, whose root nearest u' is d = 2 g / (w + sqrt(w^2 + 2 c g)).
+    u' is u when c >= 0 and the knot above, where g < 0, when c < 0, so
+    c g >= 0 and the root does not cancel.  Covered widths come from the
+    value, not from differences of levels, to keep g accurate.
     """
     p0, p1, v_pool, _ = stack[k]
     # a side is (piece, sign, value at the end next to the pool, value at its far end)
@@ -123,14 +123,18 @@ def _fit(stack, k):
             span += h
         return total, span
 
+    above = None
     for u in sorted({x for side in sides for x in side[2:]}, reverse=True):
         gu, w = g(u)
         if gu >= 0.0:
             break
+        above = (u, gu, w)
     # the span's growth rate just above u, or 0 below every knot
     c = 0.0
     if gu >= 0.0:
         c = sum(sign / el[3] for el, sign, near, far in sides if min(near, far) <= u < max(near, far))
+    if c < 0.0:
+        u, gu, w = above
     v = u + 2.0 * gu / (w + math.sqrt(w * w + 2.0 * c * gu))
     alpha, beta, head, tail = p0, p1, [], []
     if left is not None:

@@ -27,6 +27,7 @@ from .potential import (
     curvature_bound,
     interaction_energy,
     pair_energy,
+    pair_energy_force,
     pair_force,
     pair_hessian,
 )
@@ -241,9 +242,12 @@ def jko_step(
     the stopping rule holds at the returned grid itself.  Otherwise a Newton
     trial on the face of the cone that ``y``'s ties mark (``_newton_point``)
     is taken if it does not increase the objective, and a projected-gradient
-    step with backtracking from ``alpha0`` if it does.  Without curvature
-    (no power terms, ``beta = 0``) ``y`` is the Newton point, so the step
-    goes straight to the projected-gradient test.  The output never
+    step with backtracking from ``alpha0`` if it does.  A Newton trial takes
+    its objective and gradient from one pass over the pairs
+    (``pair_energy_force``); a backtracking trial takes the energy alone, and
+    the gradient only once it is accepted.  Without curvature (no power
+    terms, ``beta = 0``) ``y`` is the Newton point, so the step goes straight
+    to the projected-gradient test.  The output never
     increases the objective relative to ``prev``; a step whose backtracking
     finds no sufficient decrease raises ``ConvergenceFailure`` instead of
     being accepted.
@@ -273,22 +277,26 @@ def jko_step(
     def ggrad(x):
         return (x - x_prev) / tau + pair_force(W, x, m, cone=True)
 
+    def gboth(x):
+        d = x - x_prev
+        e, f = pair_energy_force(W, x, m, cone=True)
+        return 0.5 * float(d @ d) / tau + n * e, d / tau + f
+
     alpha0 = 1.0 / (1.0 / tau + 2.0 * curvature_bound(W, radius))
     curved = W.beta != 0.0 or any(c != 0.0 for c, _ in W.terms)
     x = x_prev.copy()
-    fx = gobj(x)
+    fx, g = gboth(x)
     residuals: list[float] = []
     for _ in range(cfg.inner_max_iters):
-        g = ggrad(x)
         y = _pava(x - alpha0 * g)
         residuals.append(float(np.linalg.norm(y - x)) / alpha0)
         if residuals[-1] <= cfg.inner_tol:
             return QuantileGrid(x)
         if curved:
             z = _newton_point(W, x, g, y, tau)
-            fz = gobj(z)
+            fz, gz = gboth(z)
             if fz <= fx + 1e-12 * (1.0 + abs(fx)):
-                x, fx = z, fz
+                x, fx, g = z, fz, gz
                 continue
         alpha = alpha0
         for halving in range(BACKTRACK_HALVINGS):
@@ -309,7 +317,7 @@ def jko_step(
                 residual=residuals[-1] if len(residuals) > 1 else math.inf,
                 residuals=residuals,
             )
-        x, fx = y, fy
+        x, fx, g = y, fy, ggrad(y)
     raise ConvergenceFailure(
         f"inner solver stopped after {cfg.inner_max_iters} iterations "
         f"with residual {residuals[-1]:.3e} > {cfg.inner_tol:.3e}",

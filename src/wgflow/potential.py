@@ -3,13 +3,19 @@ their interaction energy on quantile grids, and the two force fields the
 dynamics use: the tie-excluding pointwise field and the index-ordered
 subgradient of the energy on the monotone cone.
 
-Every pairwise sum goes through one kernel over sorted weighted points,
-``pair_energy`` and ``pair_force``, and ``pair_hessian`` applies the
-energy's Hessian on the monotone cone to a vector in the same row blocks.
+Every pairwise sum goes through one kernel over sorted weighted points:
+``pair_energy``, ``pair_force``, both from one pass (``pair_energy_force``),
+and ``pair_hessian``, which applies the energy's Hessian on the monotone cone
+to a vector.  The cusp and quadratic terms are closed form, and a power term
+with p = 2 joins the quadratic.  Every other power term is summed once per
+pair over the lower triangle of the sorted points, in row blocks of at most
+``PAIR_BLOCK`` elements, where the gaps ``x_i - x_j`` are nonnegative; no
+n x n array is held.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +91,30 @@ def deriv_smooth(W: Potential, x):
     return out if np.ndim(x) else float(out)
 
 
-# Largest number of pair differences the dense power-term sums hold at once.
-PAIR_BLOCK = 1 << 18
+# Largest number of pair elements one power-term block holds at once.
+PAIR_BLOCK = 1 << 15
 
 
-def _pair_blocks(x: np.ndarray):
-    """Row blocks ``(rows, x[rows, None] - x[None, :])`` of at most
-    ``PAIR_BLOCK`` elements (one row when a row alone is longer)."""
-    step = max(1, PAIR_BLOCK // x.size)
-    for lo in range(0, x.size, step):
-        rows = slice(lo, lo + step)
-        yield rows, x[rows, None] - x[None, :]
+def _triangle_blocks(n: int):
+    """Row blocks ``(lo, hi)`` that tile ``0:n``; block ``lo:hi`` pairs its rows
+    with the columns ``0:hi``.  ``hi`` is the largest with
+    ``(hi - lo) * hi <= PAIR_BLOCK``, the root of a quadratic, or ``lo + 1``
+    when a row alone is longer."""
+    lo = 0
+    while lo < n:
+        hi = min(n, max(lo + 1, (lo + math.isqrt(lo * lo + 4 * PAIR_BLOCK)) // 2))
+        yield lo, hi
+        lo = hi
+
+
+def _split(W: Potential) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """W's quadratic coefficient with each p = 2 term folded in, since
+    ``c|x|^2`` is ``(2c/2) x^2``, and W's other power terms."""
+    beta = W.beta
+    for c, p in W.terms:
+        if p == 2.0:
+            beta += 2.0 * c
+    return beta, tuple((c, p) for c, p in W.terms if p != 2.0)
 
 
 def _cusp_signs(x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
@@ -111,22 +130,52 @@ def _cusp_signs(x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
     return below + upto - c[-1]
 
 
+def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: bool, force: bool):
+    """``(energy, force)`` of ``pair_energy_force``; a part not asked for is
+    ``None`` and is not computed.
+
+    The cusp and quadratic parts are closed form.  A power term ``c|d|^p`` is
+    summed over the lower triangle of the sorted points in the row blocks of
+    ``_triangle_blocks``: there ``d = max(x_i - x_j, 0)``, so the block needs
+    no ``abs`` or ``sign``, and pairs above the diagonal and ties add 0.  One
+    power ``q = d**(p - 1)`` gives the pair force ``c p q``, added to row i
+    and taken from row j, and the pair energy ``c q d``.
+    """
+    beta, terms = _split(W)
+    xc = x - m @ x
+    e = f = None
+    if energy:
+        e = W.eta * float((m * xc) @ _cusp_signs(x, m, cone=True))
+        e += 0.5 * beta * float(m @ xc**2)
+    if force:
+        f = W.eta * _cusp_signs(x, m, cone) + beta * xc
+    if not terms:
+        return e, f
+    for lo, hi in _triangle_blocks(x.size):
+        d = x[lo:hi, None] - x[None, :hi]
+        np.maximum(d, 0.0, out=d)
+        rows, cols = m[lo:hi], m[:hi]
+        for c, p in terms:
+            q = d ** (p - 1.0)
+            if force:
+                f[lo:hi] += (c * p) * (q @ cols)
+                f[:hi] -= (c * p) * (rows @ q)
+            if energy:
+                e += c * float(rows @ np.multiply(q, d, out=q) @ cols)
+    return e, f
+
+
 def pair_energy(W: Potential, x: np.ndarray, m: np.ndarray) -> float:
     """(1/2) sum_{i,j} m_i m_j W(x_i - x_j) for sorted points ``x`` with
     weights ``m`` summing to 1.
 
     The cusp is the linear form eta * sum_i m_i x_i s_i in the ordered values
     (s from ``_cusp_signs``), the quadratic is beta/2 times the variance;
-    both are O(n log n).  Only power terms are summed pair by pair, in blocks.
+    both are O(n log n), and a power term with p = 2 joins the quadratic.
+    Only the other power terms are summed pair by pair, once per pair, over
+    the lower triangle in blocks of at most ``PAIR_BLOCK`` elements.
     """
-    xc = x - m @ x
-    e = W.eta * float((m * xc) @ _cusp_signs(x, m, cone=True))
-    e += 0.5 * W.beta * float(m @ xc**2)
-    if W.terms:
-        powers = Potential(terms=W.terms)
-        for rows, d in _pair_blocks(x):
-            e += 0.5 * float(m[rows] @ smooth_part(powers, d) @ m)
-    return e
+    return _pair_sums(W, x, m, cone=True, energy=True, force=False)[0]
 
 
 def pair_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
@@ -137,12 +186,17 @@ def pair_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> np.nda
     the cusp sign from the index order, which makes ``m * force`` the energy's
     gradient on the monotone cone; otherwise tied pairs are excluded, which is
     the pointwise velocity field.  The smooth terms vanish on ties either way.
+    Power terms other than p = 2 take one lower-triangle pass, as in
+    ``pair_energy``: each pair's force is added to one point and taken from
+    the other.
     """
-    f = W.eta * _cusp_signs(x, m, cone) + W.beta * (x - m @ x)
-    if W.terms:
-        powers = Potential(terms=W.terms)
-        f += np.concatenate([deriv_smooth(powers, d) @ m for _, d in _pair_blocks(x)])
-    return f
+    return _pair_sums(W, x, m, cone, energy=False, force=True)[1]
+
+
+def pair_energy_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> tuple[float, np.ndarray]:
+    """``(pair_energy(W, x, m), pair_force(W, x, m, cone))`` from one pass over
+    the pairs: each power is taken once and gives both."""
+    return _pair_sums(W, x, m, cone, energy=True, force=True)
 
 
 def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,22 +204,32 @@ def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> n
     with weights ``m`` summing to 1: the Hessian of the energy on the monotone
     cone applied to ``v``, divided by ``m``.
 
-    The cusp is linear on the cone and adds nothing; the quadratic adds
-    ``beta * (v - m @ v)``.  A tied pair is given an infinite distance, so a
-    power below 2 gives it weight ``inf**(p - 2) = 0`` and ``W''(0) = inf``
-    is never formed.  Memory stays within the ``_pair_blocks`` budget: the
-    Hessian is never held.
+    The cusp is linear on the cone and adds nothing; the quadratic, with any
+    p = 2 term folded in, adds ``beta * (v - m @ v)``.  Every other power term
+    takes the lower-triangle blocks of ``pair_energy``, where the symmetric
+    pair weight ``c p (p-1) q / d`` with ``q = d**(p - 1)`` enters rows i and
+    j alike.  A tied pair (``d = 0``) gets weight 0: that is ``W''(0)`` for
+    p > 2, and for p < 2, where ``W''(0)`` is infinite, it is never formed.
+    Memory stays within one block: the Hessian is never held.
     """
-    h = W.beta * (v - m @ v)
-    if W.terms:
-        mv = m * v
-        rows_out = []
-        for rows, d in _pair_blocks(x):
-            ad = np.abs(d, out=d)
-            ad[ad == 0.0] = np.inf
-            w = sum(c * p * (p - 1.0) * ad ** (p - 2.0) for c, p in W.terms)
-            rows_out.append(v[rows] * (w @ m) - w @ mv)
-        h = h + np.concatenate(rows_out)
+    beta, terms = _split(W)
+    h = beta * (v - m @ v)
+    if not terms:
+        return h
+    # rows (m, m v): a block's product with them gives both sums of a row
+    mv = np.stack((m, m * v))
+    for lo, hi in _triangle_blocks(x.size):
+        d = x[lo:hi, None] - x[None, :hi]
+        np.maximum(d, 0.0, out=d)
+        apart = d > 0.0
+        for c, p in terms:
+            w = d ** (p - 1.0)
+            np.divide(w, d, out=w, where=apart)
+            k = c * p * (p - 1.0)
+            right = k * (w @ mv[:, :hi].T)
+            left = k * (mv[:, lo:hi] @ w)
+            h[lo:hi] += v[lo:hi] * right[:, 0] - right[:, 1]
+            h[:hi] += v[:hi] * left[0] - left[1]
     return h
 
 

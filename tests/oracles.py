@@ -199,7 +199,8 @@ def dense_pair_sums(eta, beta, terms, x, m):
 def dense_pair_hessian(beta, terms, x, m, v):
     """``sum_j m_j W''(x_i - x_j) (v_i - v_j)`` from full n x n arrays, with
     W'' written out term by term: ``beta`` everywhere, ``c p (p-1) |d|^(p-2)``
-    off ties, and at a tie ``2c`` for p = 2 and nothing for p < 2.  Also
+    off ties, and at a tie ``2c`` for p = 2 and nothing otherwise: that is
+    ``W''(0)`` for p > 2, and stands in for the infinite one for p < 2.  Also
     returns the same sums over absolute summands, a scale for rounding."""
     x = np.asarray(x, dtype=float)
     d = x[:, None] - x[None, :]

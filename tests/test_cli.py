@@ -338,9 +338,14 @@ def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
     import itertools
 
     import wgflow.jko as jko
+    from wgflow.potential import pair_force
 
+    # every energy evaluation after the first is larger, so no trial passes
     calls = itertools.count()
     monkeypatch.setattr(jko, "pair_energy", lambda W, x, m: float(next(calls)))
+    monkeypatch.setattr(
+        jko, "pair_energy_force", lambda W, x, m, cone: (float(next(calls)), pair_force(W, x, m, cone))
+    )
     cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004)
     code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
     assert code == 3
@@ -356,9 +361,13 @@ def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
 
 def test_run_failure_record_writes_nonfinite_residuals_as_null(tmp_path, capsys, monkeypatch):
     import wgflow.jko as jko
+    from wgflow.potential import pair_energy
 
     # a NaN force makes every residual NaN and every trial fail
     monkeypatch.setattr(jko, "pair_force", lambda W, x, m, cone: np.full(x.size, np.nan))
+    monkeypatch.setattr(
+        jko, "pair_energy_force", lambda W, x, m, cone: (pair_energy(W, x, m), np.full(x.size, np.nan))
+    )
     cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004)
     code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
     assert code == 3
@@ -533,9 +542,9 @@ GOLDEN_RUNS = {
 # sha256 of trajectory.csv, summary.csv and diagnostics.json
 GOLDEN_SHA256 = {
     "jko": (
-        "5309f4fb6ae08000f4befa8ac132fe5ed19e42db057322e07e27af15498fd710",
-        "a59b9e05da2dbc2516e633b95b7fd07ecaed79826c58656350c6db43b34dd282",
-        "80c1a13009fd862bc3903bcd9c13c8363f91dff61aec7be36b6fe2472198a49d",
+        "0690421aea337d79f9c7fe4f52bdbb504b90b2f6c417cceeed82917a17c8d2f9",
+        "6fdb7198191f82e3c6e873e630bcaee09b654bb60a0a8dbf9f504691e88dcf52",
+        "46b3abadcb3d632e112db5770d7543384e30d62d81ec561d470d2cdf3cd29d20",
     ),
     "particles": (
         "368ee867ece4c15da9e552aaef49ee08a89d365f8e138968944ec4b8f9dcd90d",

@@ -309,10 +309,15 @@ def test_backtracking_failure_raises(monkeypatch):
     import itertools
 
     import wgflow.jko as jko
+    from wgflow.potential import pair_force
 
-    # every energy evaluation after the first is larger, so no trial passes
+    # every energy evaluation after the first is larger, so no trial passes;
+    # the first comes with the force at the starting grid
     calls = itertools.count()
     monkeypatch.setattr(jko, "pair_energy", lambda W, x, m: float(next(calls)))
+    monkeypatch.setattr(
+        jko, "pair_energy_force", lambda W, x, m, cone: (float(next(calls)), pair_force(W, x, m, cone))
+    )
     prev = to_quantile_grid(Measure1D.dirac(0.0), 16)
     cfg = JkoConfig(tau=0.01, n=16, t_end=1.0)
     with pytest.raises(ConvergenceFailure, match="backtracking") as info:
@@ -484,30 +489,30 @@ def test_certificate_does_not_depend_on_radius(W, values):
 # from numpy's array square, so a change of rounding there moves these bits.
 PINNED_STEP_COSTS = (
     "0x1.d3d36db6e38e4p-12", "0x1.c166035ba933ap-12", "0x1.b349ae3ef4ab2p-12",
-    "0x1.a76f31d7fc9dfp-12", "0x1.9d094f0986e1fp-12", "0x1.93ae514d20bf7p-12",
+    "0x1.a76f31d7fc9dfp-12", "0x1.9d094f0986e17p-12", "0x1.93ae514d20bf7p-12",
     "0x1.8b1f2ee81d90dp-12", "0x1.8332adc0891bfp-12", "0x1.7bcc0fd59fd05p-12",
     "0x1.74d6542332dccp-12", "0x1.6e4190850d5d8p-12", "0x1.68015c1a57e2cp-12",
     "0x1.620bcf1f51951p-12", "0x1.5c58d9ef75cecp-12", "0x1.56e1d171329c4p-12",
-    "0x1.51a11d9cacd98p-12", "0x1.4c91fe8e0bef0p-12", "0x1.47b060f18aa8bp-12",
+    "0x1.51a11d9cacda8p-12", "0x1.4c91fe8e0bef0p-12", "0x1.47b060f18aa8bp-12",
     "0x1.42f8bd28a76e0p-12", "0x1.3e67fe184d697p-12",
 )
 PINNED_SPEEDS = (
     "0x1.31e25ea7b5942p-2", "0x1.2bcca7645888ap-2", "0x1.270e20b1b8a37p-2",
-    "0x1.2302951362a2dp-2", "0x1.1f6a30ecc5ff8p-2", "0x1.1c24218a4758ap-2",
+    "0x1.2302951362a2dp-2", "0x1.1f6a30ecc5ff5p-2", "0x1.1c24218a4758ap-2",
     "0x1.191cdb48432b7p-2", "0x1.16479a9305a1ep-2", "0x1.139b7cb5d347ep-2",
     "0x1.111205d7feb33p-2", "0x1.0ea64e2900aa6p-2", "0x1.0c5483d8bc6dep-2",
     "0x1.0a199b8cdb49ep-2", "0x1.07f31beefbc33p-2", "0x1.05def9d3f44b0p-2",
-    "0x1.03db7efb02451p-2", "0x1.01e737cccff4dp-2", "0x1.0000e5ddf2f6cp-2",
+    "0x1.03db7efb02457p-2", "0x1.01e737cccff4dp-2", "0x1.0000e5ddf2f6cp-2",
     "0x1.fc4eeb89be207p-3", "0x1.f8b3ee9f966d8p-3",
 )
 PINNED_EVI = (
-    "-0x1.10f3688c55461p-2", "-0x1.0becfcda83ab2p-2", "-0x1.07a7da8003480p-2",
-    "-0x1.03cb6ad4ebf30p-2", "-0x1.0034deee1616cp-2", "-0x1.f9a43b68744e4p-3",
-    "-0x1.f33081dd18e2ap-3", "-0x1.ed002a7183a6cp-3", "-0x1.e7090fdc0266ep-3",
-    "-0x1.e143b39d97ce5p-3", "-0x1.dbaa5800b8b3cp-3", "-0x1.d63876090dfc6p-3",
-    "-0x1.d0ea65f3aabe0p-3", "-0x1.cbbd25481985cp-3", "-0x1.c6ae2f1458e75p-3",
-    "-0x1.c1bb5fcab5b84p-3", "-0x1.bce2e0d57e474p-3", "-0x1.b823196e61092p-3",
-    "-0x1.b37aa325ca35ap-3", "-0x1.aee8410e7891cp-3",
+    "-0x1.10f3688c55461p-2", "-0x1.0becfcda83ab2p-2", "-0x1.07a7da800347fp-2",
+    "-0x1.03cb6ad4ebf30p-2", "-0x1.0034deee1616bp-2", "-0x1.f9a43b68744e4p-3",
+    "-0x1.f33081dd18e29p-3", "-0x1.ed002a7183a6cp-3", "-0x1.e7090fdc0266ep-3",
+    "-0x1.e143b39d97ce5p-3", "-0x1.dbaa5800b8b3dp-3", "-0x1.d63876090dfc5p-3",
+    "-0x1.d0ea65f3aabdfp-3", "-0x1.cbbd25481985cp-3", "-0x1.c6ae2f1458e74p-3",
+    "-0x1.c1bb5fcab5b86p-3", "-0x1.bce2e0d57e474p-3", "-0x1.b823196e61091p-3",
+    "-0x1.b37aa325ca484p-3", "-0x1.aee8410e787efp-3",
 )
 PINNED_WEAK = "0x1.2b4242fb53438p-10"
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgflow.potential
@@ -24,7 +24,7 @@ from wgflow import (
     velocity_profile,
 )
 from oracles import central_difference, dense_pair_hessian, dense_pair_sums
-from wgflow.potential import pair_energy, pair_force, pair_hessian
+from wgflow.potential import PAIR_BLOCK, _triangle_blocks, pair_energy, pair_energy_force, pair_force, pair_hessian
 
 CUSP_REPULSIVE = Potential(eta=-1.0)
 CUSP_ATTRACTIVE = Potential(eta=1.0)
@@ -216,14 +216,14 @@ _coef = st.floats(-2.0, 2.0)
 @st.composite
 def _pair_case(draw):
     """Sorted dyadic points (exact under dyadic shifts) with forced ties,
-    positive weights summing to 1, and a potential with p in (1, 2]."""
+    positive weights summing to 1, and a potential with p in (1, 4]."""
     levels = sorted(draw(st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True)))
     reps = draw(st.lists(st.integers(1, 4), min_size=len(levels), max_size=len(levels)))
     h = 2.0 ** -draw(st.integers(0, 8))
     offset = draw(st.integers(-16000, 16000)) / 16.0
     x = offset + h * np.repeat(np.array(levels, dtype=float), reps)
     raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=x.size, max_size=x.size)))
-    power = st.tuples(_coef, st.floats(1.0, 2.0, exclude_min=True))
+    power = st.tuples(_coef, st.floats(1.0, 4.0, exclude_min=True))
     terms = tuple(draw(st.lists(power, max_size=2)))
     W = Potential(eta=draw(_coef), beta=draw(_coef), terms=terms)
     shift = draw(st.integers(-16000, 16000)) / 16.0
@@ -231,14 +231,25 @@ def _pair_case(draw):
     return W, x, raw / raw.sum(), shift, draw(st.integers(1, 40)), v
 
 
+def _tied_case(W):
+    """Two ties, one across a block boundary at budget 2, and a vector that
+    differs across each tie."""
+    x = np.array([-0.5, -0.5, 0.25, 1.0, 1.0])
+    m = np.array([0.125, 0.25, 0.25, 0.125, 0.25])
+    return W, x, m, 3.0, 2, np.array([0.5, -0.5, 0.25, -1.0, 0.75])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_pair_case())
+@example(_tied_case(Potential(eta=-0.5, beta=0.25, terms=((0.75, 2.0),))))
+@example(_tied_case(Potential(eta=0.5, terms=((1.0, 3.0), (-0.25, 1.5)))))
 def test_pair_kernel_matches_dense_reference(case):
     W, x, m, shift, block, v = case
     # a small block budget sends the power terms through the multi-block path
     with mock.patch.object(wgflow.potential, "PAIR_BLOCK", block):
         energy = pair_energy(W, x, m)
         forces = [pair_force(W, x, m, cone=c) for c in (True, False)]
+        both = [pair_energy_force(W, x, m, cone=c) for c in (True, False)]
         shifted = [pair_energy(W, x + shift, m)]
         shifted += [pair_force(W, x + shift, m, cone=c) for c in (True, False)]
         hessian = pair_hessian(W, x, m, v)
@@ -249,15 +260,30 @@ def test_pair_kernel_matches_dense_reference(case):
     tol = 1e-11 * scale
     assert abs(energy - ref_energy) <= tol
     assert abs(shifted[0] - energy) <= tol
-    for force, ref, moved in zip(forces, (ref_cone, ref_excl), shifted[1:]):
+    for force, ref, moved, (e, f) in zip(forces, (ref_cone, ref_excl), shifted[1:], both):
         assert np.max(np.abs(force - ref)) <= tol
         assert np.max(np.abs(moved - force)) <= tol
         # equal and opposite pair forces: the centre of mass does not move
         assert abs(m @ force) <= tol
-    # ties, with W''(0) infinite for p < 2, get weight 0
+        assert abs(e - ref_energy) <= tol
+        assert np.max(np.abs(f - ref)) <= tol
+    # ties get weight 0: W''(0) for p > 2, and for p < 2 in place of infinity
     ref_hessian, size = dense_pair_hessian(W.beta, W.terms, x, m, v)
     assert np.all(np.abs(hessian - ref_hessian) <= 1e-12 * (1.0 + size))
     assert np.array_equal(moved_hessian, hessian)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 64, PAIR_BLOCK])
+def test_triangle_blocks_tile_rows_within_budget(budget):
+    with mock.patch.object(wgflow.potential, "PAIR_BLOCK", budget):
+        for n in (1, 2, 3, 10, 57, 400, 4000):
+            blocks = list(_triangle_blocks(n))
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            for lo, hi in blocks:
+                # within budget, and the widest such block (or one row)
+                assert hi > lo and ((hi - lo) * hi <= budget or hi == lo + 1)
+                assert hi == n or (hi + 1 - lo) * (hi + 1) > budget
 
 
 def test_potential_json_round_trip():

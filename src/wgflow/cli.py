@@ -46,7 +46,7 @@ from .jko import (
     run_flow,
 )
 from .measures import DomainError, Measure1D, midpoint_nodes, to_quantile_grid
-from .particles import ParticleState, integrate, quantile_trajectory
+from .particles import ParticleHistory, ParticleState, integrate, quantile_trajectory
 from .potential import Potential, convexity_certificate
 from .transport import DiscreteInstance, PivotCapReached, solve_dual, solve_primal, w2_exact_discrete
 
@@ -262,12 +262,19 @@ def _write_grid_trajectory(path: str, traj: FlowTrajectory):
             fh.writelines(ts + c + x + "\n" for c, x in zip(columns, _fmts(row)))
 
 
-def _write_particle_trajectory(path: str, history: list[ParticleState]):
+def _write_particle_trajectory(path: str, history: ParticleHistory):
+    stamps = _fmts(history.times)
     with open(path, "w", newline="") as fh:
         fh.write("t,i,x_i,m_i\n")
-        for st, ts in zip(history, _fmts([st.time for st in history])):
-            rows = enumerate(zip(_fmts(st.positions), _fmts(st.masses)))
-            fh.writelines(f"{ts},{i},{x},{m}\n" for i, (x, m) in rows)
+        for masses, positions in history.segments:
+            # the ",i," and ",m_i" columns are the same for every record of a segment
+            heads = [f",{i}," for i in range(masses.size)]
+            tails = [f",{m}\n" for m in _fmts(masses)]
+            xs = _fmts(positions)
+            # one tuple of formatted positions per record
+            for row in zip(*[xs] * masses.size):
+                ts = next(stamps)
+                fh.writelines(ts + h + x + m for h, x, m in zip(heads, row, tails))
 
 
 def _write_summary(path: str, traj: FlowTrajectory):

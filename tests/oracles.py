@@ -413,3 +413,50 @@ def reference_simplex(inst):
     plan = TransportPlan(x, float(np.sum(cost * x)))
     plan.check(inst)
     return plan
+
+
+# --- forward Euler particle loop --------------------------------------------
+
+
+def reference_integrate(W, st0, t_end, dt):
+    """The particle integrator as one forward Euler loop: one ``ode_rhs`` and
+    one validated state per substep, each substep ending early at the first
+    crossing of two neighbours."""
+    from wgflow.measures import DomainError
+    from wgflow.particles import _EVENT_TOL, ParticleState, ode_rhs
+
+    if dt <= 0.0:
+        raise DomainError(f"dt {dt} must be positive")
+    out = [st0]
+    horizon_tol = 1e-12 * max(1.0, abs(t_end))
+    while out[-1].time < t_end - horizon_tol:
+        x, m, t = out[-1].positions, out[-1].masses, out[-1].time
+        v = ode_rhs(W, out[-1])
+        h = min(dt, t_end - t)
+        # earliest crossing among adjacent, distinct, approaching pairs
+        gap = np.diff(x)
+        rel = v[:-1] - v[1:]
+        approach = (gap > 0.0) & (rel > 0.0)
+        whens = np.full(gap.size, np.inf)
+        whens[approach] = gap[approach] / rel[approach]
+        event = min(h, float(whens.min(initial=np.inf)))
+        # every pair crossing within tolerance of the event takes part in it
+        hit = whens <= event + _EVENT_TOL
+        x = x + event * v
+        t = t + event
+        if hit.any():
+            # each contact meets as one run with the coincident particles beside it
+            pairs = np.flatnonzero(hit | (gap == 0.0))
+            runs = np.split(pairs, np.flatnonzero(np.diff(pairs) > 1) + 1)
+            for grp in reversed([run for run in runs if hit[run].any()]):
+                lo, hi = int(grp[0]), int(grp[-1]) + 2
+                mass = m[lo:hi].sum()
+                x[lo:hi] = float(np.dot(x[lo:hi], m[lo:hi]) / mass)
+                if W.eta >= 0.0:
+                    # sticky merge: the run becomes one particle at the meeting point
+                    x = np.delete(x, np.s_[lo + 1 : hi])
+                    m = np.concatenate([m[:lo], [mass], m[hi:]])
+        if np.any(np.diff(x) < 0.0):
+            raise RuntimeError("particle ordering violated during integration")
+        out.append(ParticleState(x, m, t))
+    return out

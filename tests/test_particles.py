@@ -1,5 +1,7 @@
 """Particle system: forces, event-driven integration, branch solutions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,11 @@ from wgflow import (
     to_quantile_grid,
     w2_quantile,
 )
+from wgflow import particles
+from wgflow.particles import ParticleHistory
 from wgflow.particles import interaction_energy as particle_energy
+
+from oracles import reference_integrate
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)
@@ -33,6 +39,12 @@ def test_state_invariants():
         ParticleState([0.0, 1.0], [0.4, 0.5])
     with pytest.raises(DomainError):
         ParticleState([0.0, 1.0], [-0.5, 1.5])
+    with pytest.raises(DomainError, match="positions"):
+        ParticleState([math.nan, 0.0], [math.nan, 1.0])
+    with pytest.raises(DomainError, match="positions"):
+        ParticleState([math.inf], [1.0])
+    with pytest.raises(DomainError, match="masses"):
+        ParticleState([0.0, 1.0], [math.inf, 0.5])
 
 
 def test_rhs_single_particle():
@@ -52,6 +64,17 @@ def test_rhs_coincident_particles_feel_nothing():
 def test_integrate_rejects_bad_dt():
     with pytest.raises(DomainError):
         integrate(ATTRACTIVE, ParticleState([0.0], [1.0]), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_end, dt, field", [
+    (1.0, math.nan, "dt"),
+    (1.0, math.inf, "dt"),
+    (math.nan, 0.1, "t_end"),
+    (math.inf, 0.1, "t_end"),
+])
+def test_integrate_rejects_non_finite_times(t_end, dt, field):
+    with pytest.raises(DomainError, match=field):
+        integrate(ATTRACTIVE, ParticleState([0.0, 1.0], [0.5, 0.5]), t_end, dt)
 
 
 def test_attractive_pair_merges_at_two():
@@ -201,6 +224,25 @@ def test_contact_takes_in_coincident_neighbours():
     assert sorted({s.count for s in history}, reverse=True) == [10, 3, 2, 1]
 
 
+def test_history_is_a_read_only_sequence_of_states():
+    st = ParticleState([-1.0, 0.0, 1.0], [0.25, 0.25, 0.5])
+    history = integrate(ATTRACTIVE, st, 2.0, 0.1)
+    assert isinstance(history, ParticleHistory)
+    states = list(history)
+    assert len(states) == len(history) == history.times.size
+    assert [s.count for s in states] == [s.count for s in history[:]]
+    assert len(history.segments) == 3  # two merges
+    last = history[-1]
+    assert last.count == 1 and last.time == history.times[-1]
+    assert history[len(history) - 1].positions.tobytes() == last.positions.tobytes()
+    with pytest.raises(IndexError):
+        history[len(history)]
+    with pytest.raises(ValueError):
+        history.times[0] = 1.0
+    with pytest.raises(ValueError):
+        history.segments[0][1][0, 0] = 1.0
+
+
 def test_quantile_trajectory_adapter():
     st = ParticleState([-1.0, 1.0], [0.5, 0.5])
     history = integrate(ATTRACTIVE, st, 1.0, 1e-2)
@@ -251,3 +293,72 @@ def test_quantile_trajectory_of_integrated_histories(state, eta, n):
     # attraction merges colliding particles; repulsion keeps coincident ones
     # together
     _assert_rows_are_measure_grids(integrate(Potential(eta=eta), state, 2.0, 0.05), n)
+
+
+def _assert_same_history(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.float64(a.time).tobytes() == np.float64(b.time).tobytes()
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.masses.tobytes() == b.masses.tobytes()
+
+
+def _assert_matches_reference(W, state, t_end, dt):
+    try:
+        want = reference_integrate(W, state, t_end, dt)
+    except (RuntimeError, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            integrate(W, state, t_end, dt)
+        return
+    _assert_same_history(integrate(W, state, t_end, dt), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _STATES,
+    st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0]),
+    st.floats(0.1, 2.0),
+    st.floats(0.005, 0.3),
+)
+def test_cusp_chunks_match_the_euler_loop(state, eta, t_end, dt):
+    # a cusp alone moves the particles in chunks of summed substeps
+    _assert_matches_reference(Potential(eta=eta), state, t_end, dt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _STATES,
+    st.sampled_from([CUBIC, Potential(eta=1.0, beta=0.5), Potential(eta=-1.0, beta=1.0)]),
+    st.floats(0.1, 1.0),
+    st.floats(0.01, 0.1),
+)
+def test_one_substep_chunks_match_the_euler_loop(state, W, t_end, dt):
+    _assert_matches_reference(W, state, t_end, dt)
+
+
+def test_ode_rhs_runs_once_per_chunk(monkeypatch):
+    # the particles_ot benchmark configuration: five particles collapse to
+    # one, and each chunk ends at a merge or at t_end
+    st = ParticleState([-2.7, -1.0, 0.0, 1.0, 2.7], [0.2] * 5)
+    calls = []
+    rhs = particles.ode_rhs
+
+    def counted(W, state):
+        calls.append(state.time)
+        return rhs(W, state)
+
+    monkeypatch.setattr(particles, "ode_rhs", counted)
+    want = reference_integrate(ATTRACTIVE, st, 4.0, 1e-3)
+    assert len(calls) == len(want) - 1 == 4001
+    calls.clear()
+    history = integrate(ATTRACTIVE, st, 4.0, 1e-3)
+    assert len(calls) == len(history.segments) == 3
+    _assert_same_history(history, want)
+
+
+@pytest.mark.parametrize("eta", [-1.0, -2.0, 0.0])
+def test_stationary_negative_zero_matches_the_euler_loop(eta):
+    # the middle particle stays put at -0.0 while its velocity's zero flips
+    # sign with the rounding of the centre of mass
+    st = ParticleState([-3.0, -1.0, -0.0, 1.0, 3.0], [0.2] * 5)
+    _assert_matches_reference(Potential(eta=eta), st, 1.0, 0.01)

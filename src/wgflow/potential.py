@@ -210,6 +210,8 @@ def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> n
     pair weight ``c p (p-1) q / d`` with ``q = d**(p - 1)`` enters rows i and
     j alike.  A tied pair (``d = 0``) gets weight 0: that is ``W''(0)`` for
     p > 2, and for p < 2, where ``W''(0)`` is infinite, it is never formed.
+    A pair closer than the smallest normal float counts as tied: there
+    ``q / d`` can pass the float range.
     Memory stays within one block: the Hessian is never held.
     """
     beta, terms = _split(W)
@@ -221,7 +223,7 @@ def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> n
     for lo, hi in _triangle_blocks(x.size):
         d = x[lo:hi, None] - x[None, :hi]
         np.maximum(d, 0.0, out=d)
-        apart = d > 0.0
+        apart = d >= np.finfo(float).tiny
         for c, p in terms:
             w = d ** (p - 1.0)
             np.divide(w, d, out=w, where=apart)

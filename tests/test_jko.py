@@ -467,6 +467,10 @@ def _certifiable_potential(draw):
                      (-1.255629454869592, 2.0))),
     [0.0],
 )
+@example(  # a subnormal gap, where the Hessian weight d**(p - 2) passes the float range
+    Potential(eta=-1.0, beta=0.0, terms=((0.5, 1.0000000000000002),)),
+    [0.0, 2.225073858507203e-309],
+)
 def test_certificate_does_not_depend_on_radius(W, values):
     # a negative term has p = 2, where r**(p - 2) = 1, so the radius drops out
     certs = [convexity_certificate(W, radius=r) for r in (1.0, 10.0, 1e3)]

@@ -46,13 +46,20 @@ class ExactSolution:
 #
 # Elements are quantile pieces [s0, s1, x0, b] with value x0 + b*(s - s0); a
 # pool, the flat stretch produced by pooling, is a piece with b = 0 and x0 its
-# pooled value.  Decreasing input pieces enter as pools; violating junctions
-# are repaired right to left.  Two pools merge at their mean.  A pool next to
-# a rising piece is refit against every rising neighbour at once, since
-# fitting one side at a time need not terminate: it takes over the stretch of
-# the left neighbour above its value and of the right neighbour below it, and
-# its value is the input's mean over that span, the one root of a decreasing
-# piecewise quadratic, found in closed form.
+# pooled value.  Decreasing input pieces enter as pools.  One stack pass
+# pushes the pieces in order and repairs in place: only the two junctions
+# beside the last change (the pushed piece, or the one pool a repair leaves)
+# can violate, and they are checked right first until neither does, which is
+# the rightmost violation a rescan of the whole stack would find.  Two pools
+# merge at their mean.  A pool next to a rising piece is refit against every
+# rising neighbour at once, since fitting one side at a time need not
+# terminate: it takes over the stretch of the left neighbour above its value
+# and of the right neighbour below it, and its value is the input's mean over
+# that span, the one root of a decreasing piecewise quadratic, found in
+# closed form; what is left of a neighbour is continuous with the pool.  So
+# each repair removes an element or leaves the pool continuous with its
+# rising neighbours, after which only a pool beside it can violate, and
+# pooling removes one: the pass ends, in time linear in the number of pieces.
 
 
 def _end_value(el):
@@ -69,12 +76,14 @@ def _violates(left, right) -> bool:
 
 
 def _pool(stack, k):
-    """Replace stack[k] and stack[k+1] by one pool at their width-weighted mean."""
+    """Replace stack[k] and stack[k+1] by one pool at their width-weighted
+    mean; return the pool's index, k."""
     left, right = stack[k], stack[k + 1]
     w1 = left[1] - left[0]
     w2 = right[1] - right[0]
     v = (w1 * _piece_mean(*left) + w2 * _piece_mean(*right)) / (w1 + w2)
     stack[k : k + 2] = [[left[0], right[1], v, 0.0]]
+    return k
 
 
 def _fit(stack, k):
@@ -91,7 +100,8 @@ def _fit(stack, k):
     c d^2 / 2, whose root nearest u' is d = 2 g / (w + sqrt(w^2 + 2 c g)).
     u' is u when c >= 0 and the knot above, where g < 0, when c < 0, so
     c g >= 0 and the root does not cancel.  Covered widths come from the
-    value, not from differences of levels, to keep g accurate.
+    value, not from differences of levels, to keep g accurate.  Returns the
+    refit pool's index.
     """
     p0, p1, v_pool, _ = stack[k]
     # a side is (piece, sign, value at the end next to the pool, value at its far end)
@@ -145,25 +155,9 @@ def _fit(stack, k):
         el, h = right[0], covered(right, v)
         beta = min(p1 + h, el[1]) if h < el[1] - el[0] else el[1]
         tail = [[beta, el[1], el[2] + el[3] * (beta - el[0]), el[3]]] if beta < el[1] else []
-    stack[k - (left is not None) : k + 1 + (right is not None)] = head + [[alpha, beta, v, 0.0]] + tail
-
-
-def _repair(stack):
-    for _ in range(10000):
-        bad = None
-        for k in range(len(stack) - 1):
-            if _violates(stack[k], stack[k + 1]):
-                bad = k
-        if bad is None:
-            return
-        left, right = stack[bad], stack[bad + 1]
-        if left[3] == 0.0 and right[3] == 0.0:
-            _pool(stack, bad)
-        elif left[3] == 0.0 or right[3] == 0.0:
-            _fit(stack, bad if left[3] == 0.0 else bad + 1)
-        else:
-            raise AssertionError("rising pieces cannot violate each other")
-    raise RuntimeError("isotonic repair did not terminate")
+    lo = k - (left is not None)
+    stack[lo : k + 1 + (right is not None)] = head + [[alpha, beta, v, 0.0]] + tail
+    return lo + len(head)
 
 
 def _isotonic_pieces(pieces):
@@ -175,7 +169,21 @@ def _isotonic_pieces(pieces):
             stack.append([s0, s1, x0, b])
         else:
             stack.append([s0, s1, _piece_mean(s0, s1, x0, b), 0.0])
-        _repair(stack)
+        k = len(stack) - 1
+        while True:
+            if k + 1 < len(stack) and _violates(stack[k], stack[k + 1]):
+                bad = k
+            elif k > 0 and _violates(stack[k - 1], stack[k]):
+                bad = k - 1
+            else:
+                break
+            left, right = stack[bad], stack[bad + 1]
+            if left[3] == 0.0 and right[3] == 0.0:
+                k = _pool(stack, bad)
+            elif left[3] == 0.0 or right[3] == 0.0:
+                k = _fit(stack, bad if left[3] == 0.0 else bad + 1)
+            else:
+                raise AssertionError("rising pieces cannot violate each other")
     return stack
 
 

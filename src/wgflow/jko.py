@@ -28,7 +28,6 @@ from .potential import (
     interaction_energy,
     pair_energy,
     pair_energy_force,
-    pair_force,
     pair_hessian,
 )
 from .transport import _row_w2
@@ -242,15 +241,13 @@ def jko_step(
     the stopping rule holds at the returned grid itself.  Otherwise a Newton
     trial on the face of the cone that ``y``'s ties mark (``_newton_point``)
     is taken if it does not increase the objective, and a projected-gradient
-    step with backtracking from ``alpha0`` if it does.  A Newton trial takes
-    its objective and gradient from one pass over the pairs
-    (``pair_energy_force``); a backtracking trial takes the energy alone, and
-    the gradient only once it is accepted.  Without curvature (no power
-    terms, ``beta = 0``) ``y`` is the Newton point, so the step goes straight
-    to the projected-gradient test.  The output never
-    increases the objective relative to ``prev``; a step whose backtracking
-    finds no sufficient decrease raises ``ConvergenceFailure`` instead of
-    being accepted.
+    step with backtracking from ``alpha0`` if it does.  Every trial, Newton
+    or backtracking, takes its objective and gradient from one pass over the
+    pairs (``pair_energy_force``).  Without curvature (no power terms,
+    ``beta = 0``) ``y`` is the Newton point, so the step goes straight to the
+    projected-gradient test.  The output never increases the objective
+    relative to ``prev``; a step whose backtracking finds no sufficient
+    decrease raises ``ConvergenceFailure`` instead of being accepted.
     """
     if not W.jko_eligible:
         raise DomainError(
@@ -270,13 +267,6 @@ def jko_step(
 
     # objective scaled by n: G(x) = ||x - x_prev||^2 / (2 tau) + n E(x); the
     # cone gradient of n E is n * m * force = force
-    def gobj(x):
-        d = x - x_prev
-        return 0.5 * float(d @ d) / tau + n * pair_energy(W, x, m)
-
-    def ggrad(x):
-        return (x - x_prev) / tau + pair_force(W, x, m, cone=True)
-
     def gboth(x):
         d = x - x_prev
         e, f = pair_energy_force(W, x, m, cone=True)
@@ -304,7 +294,7 @@ def jko_step(
                 alpha *= 0.5
                 y = _pava(x - alpha * g)
             dy = y - x
-            fy = gobj(y)
+            fy, gy = gboth(y)
             model = fx + float(g @ dy) + 0.5 * float(dy @ dy) / alpha
             if fy <= model + 1e-12 * (1.0 + abs(fx)):
                 break
@@ -317,7 +307,7 @@ def jko_step(
                 residual=residuals[-1] if len(residuals) > 1 else math.inf,
                 residuals=residuals,
             )
-        x, fx, g = y, fy, ggrad(y)
+        x, fx, g = y, fy, gy
     raise ConvergenceFailure(
         f"inner solver stopped after {cfg.inner_max_iters} iterations "
         f"with residual {residuals[-1]:.3e} > {cfg.inner_tol:.3e}",

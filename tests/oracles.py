@@ -266,6 +266,41 @@ def rational_w2_squared(m1, m2):
     return total
 
 
+# --- isotonic projection by whole-stack rescans -----------------------------
+
+
+def reference_isotonic_pieces(pieces):
+    """The exact isotonic projection as a rescan loop: after each pushed
+    piece, and after each repair, every junction of the stack is checked and
+    the rightmost violating one is repaired with ``analytic._pool`` or
+    ``analytic._fit``, under a cap of 10,000 repairs per push."""
+    from wgflow.analytic import _fit, _piece_mean, _pool, _violates
+
+    stack = []
+    for s0, s1, x0, b in pieces:
+        if b >= 0.0:
+            stack.append([s0, s1, x0, b])
+        else:
+            stack.append([s0, s1, _piece_mean(s0, s1, x0, b), 0.0])
+        for _ in range(10000):
+            bad = None
+            for k in range(len(stack) - 1):
+                if _violates(stack[k], stack[k + 1]):
+                    bad = k
+            if bad is None:
+                break
+            left, right = stack[bad], stack[bad + 1]
+            if left[3] == 0.0 and right[3] == 0.0:
+                _pool(stack, bad)
+            elif left[3] == 0.0 or right[3] == 0.0:
+                _fit(stack, bad if left[3] == 0.0 else bad + 1)
+            else:
+                raise AssertionError("rising pieces cannot violate each other")
+        else:
+            raise RuntimeError("isotonic repair did not terminate")
+    return stack
+
+
 # --- random inputs -----------------------------------------------------------
 
 

@@ -283,6 +283,21 @@ def test_pooled_structure_meets_isotonic_optimality():
         _assert_isotonic_optimality(sol, float(rng.uniform(0.0, 4.0)))
 
 
+def _tiny_pool_measure(rng, k):
+    """A tiny atom at a segment's right end (k % 3 == 0), at its left end
+    (k % 3 == 1), or where two segments meet (k % 3 == 2)."""
+    eps = float(10.0 ** rng.uniform(-10.0, -4.0))
+    left = float(rng.uniform(-1.0, 1.0))
+    right = left + float(rng.uniform(0.5, 2.0))
+    if k % 3 == 0:
+        return Measure1D(atoms=((right, eps),), pieces=((left, right, 1.0 - eps),))
+    if k % 3 == 1:
+        return Measure1D(atoms=((left, eps),), pieces=((left, right, 1.0 - eps),))
+    share = float(rng.uniform(0.2, 0.8))
+    second = (right, right + float(rng.uniform(0.5, 2.0)), (1.0 - share) * (1.0 - eps))
+    return Measure1D(atoms=((right, eps),), pieces=((left, right, share * (1.0 - eps)), second))
+
+
 def test_tiny_pool_at_a_segment_end_meets_isotonic_optimality():
     """A tiny atom at a segment's right end, at its left end, or where two
     segments meet pools with a short stretch of a long rising piece.  At the
@@ -290,19 +305,61 @@ def test_tiny_pool_at_a_segment_end_meets_isotonic_optimality():
     below it, where the span's growth rate is negative."""
     rng = np.random.default_rng(1357)
     for k in range(150):
-        eps = float(10.0 ** rng.uniform(-10.0, -4.0))
-        left = float(rng.uniform(-1.0, 1.0))
-        right = left + float(rng.uniform(0.5, 2.0))
-        if k % 3 == 0:
-            m = Measure1D(atoms=((right, eps),), pieces=((left, right, 1.0 - eps),))
-        elif k % 3 == 1:
-            m = Measure1D(atoms=((left, eps),), pieces=((left, right, 1.0 - eps),))
-        else:
-            share = float(rng.uniform(0.2, 0.8))
-            second = (right, right + float(rng.uniform(0.5, 2.0)), (1.0 - share) * (1.0 - eps))
-            m = Measure1D(atoms=((right, eps),), pieces=((left, right, share * (1.0 - eps)), second))
+        m = _tiny_pool_measure(rng, k)
         sol = ExactSolution(KIND_ATTRACTIVE, m, float(rng.uniform(0.3, 2.5)))
         _assert_isotonic_optimality(sol, float(rng.uniform(0.0, 0.5)))
+
+
+def _many_atoms_then_heavy(rng):
+    """A few hundred nearly evenly spaced light atoms on [0, 1], every eighth
+    replaced by a segment steep enough to stay rising, then one heavy atom
+    just above 1, with ``eta * t`` at which the light part barely stays apart.
+    Returns the measure and that ``eta * t``."""
+    n = int(rng.integers(200, 400))
+    heavy = float(rng.uniform(0.3, 0.5))
+    xs = (np.arange(n) + rng.uniform(0.0, 0.3, n)) / n
+    w = rng.uniform(0.9, 1.1, n)
+    w *= (1.0 - heavy) / w.sum()
+    atoms, pieces = [], []
+    for j in range(n):
+        if j % 8 == 5:
+            pieces.append((float(xs[j]), float(xs[j] + rng.uniform(1.5, 3.0) / n), float(w[j])))
+        else:
+            atoms.append((float(xs[j]), float(w[j])))
+    atoms.append((float(1.0 + rng.uniform(0.0, 0.05)), heavy))
+    eta_t = float(rng.uniform(0.8, 0.95)) / (2.0 * (1.0 - heavy))
+    return Measure1D(atoms=tuple(atoms), pieces=tuple(pieces)), eta_t
+
+
+def test_structure_matches_rescan_reference_bits():
+    """The one stack pass, which rechecks only the junctions beside its last
+    change, gives the projection of the whole-stack rescan bit for bit: on
+    random measures, on tiny pools at segment ends, and on a few hundred
+    atoms of which the last pushed one pools across most of the stack."""
+    from oracles import random_measure, reference_isotonic_pieces
+
+    from wgflow.analytic import _isotonic_pieces, _structure, _transported_pieces
+
+    def check(sol, t):
+        got = _structure(sol, t)
+        assert repr(got) == repr(reference_isotonic_pieces(_transported_pieces(sol, t)))
+        return got
+
+    rng = np.random.default_rng(4242)
+    for _ in range(2000):
+        sol = ExactSolution(KIND_ATTRACTIVE, random_measure(rng), float(rng.uniform(0.3, 2.5)))
+        check(sol, float(rng.uniform(0.0, 4.0)))
+    for k in range(300):
+        sol = ExactSolution(KIND_ATTRACTIVE, _tiny_pool_measure(rng, k), float(rng.uniform(0.3, 2.5)))
+        check(sol, float(rng.uniform(0.0, 0.5)))
+    for _ in range(12):
+        m, eta_t = _many_atoms_then_heavy(rng)
+        eta = float(rng.uniform(0.3, 2.5))
+        sol = ExactSolution(KIND_ATTRACTIVE, m, eta)
+        got = check(sol, eta_t / eta)
+        before = _isotonic_pieces(_transported_pieces(sol, eta_t / eta)[:-1])
+        assert len(before) >= 80 and any(el[3] > 0.0 for el in before)
+        assert len(got) <= len(before) // 3
 
 
 # exact_grid(sol, t, 8) for PINNED_SOLUTION, as float.hex; the times reach

@@ -364,7 +364,6 @@ def test_run_failure_record_writes_nonfinite_residuals_as_null(tmp_path, capsys,
     from wgflow.potential import pair_energy
 
     # a NaN force makes every residual NaN and every trial fail
-    monkeypatch.setattr(jko, "pair_force", lambda W, x, m, cone: np.full(x.size, np.nan))
     monkeypatch.setattr(
         jko, "pair_energy_force", lambda W, x, m, cone: (pair_energy(W, x, m), np.full(x.size, np.nan))
     )

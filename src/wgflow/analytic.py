@@ -56,10 +56,11 @@ class ExactSolution:
 # terminate: it takes over the stretch of the left neighbour above its value
 # and of the right neighbour below it, and its value is the input's mean over
 # that span, the one root of a decreasing piecewise quadratic, found in
-# closed form; what is left of a neighbour is continuous with the pool.  So
-# each repair removes an element or leaves the pool continuous with its
-# rising neighbours, after which only a pool beside it can violate, and
-# pooling removes one: the pass ends, in time linear in the number of pieces.
+# closed form; what is left of a neighbour is continuous with the pool by
+# construction and is not checked again (by value, a steep piece's rounding
+# can exceed the tolerance, and the refit would repeat without end).  So a
+# repair removes an element or is a refit that leaves open only junctions with
+# pools, whose repair pools and removes one: the pass is linear in the pieces.
 
 
 def _end_value(el):
@@ -101,7 +102,8 @@ def _fit(stack, k):
     u' is u when c >= 0 and the knot above, where g < 0, when c < 0, so
     c g >= 0 and the root does not cancel.  Covered widths come from the
     value, not from differences of levels, to keep g accurate.  Returns the
-    refit pool's index.
+    refit pool's index and whether its left and right junctions are open,
+    that is, not with what is left of a neighbour.
     """
     p0, p1, v_pool, _ = stack[k]
     # a side is (piece, sign, value at the end next to the pool, value at its far end)
@@ -157,7 +159,7 @@ def _fit(stack, k):
         tail = [[beta, el[1], el[2] + el[3] * (beta - el[0]), el[3]]] if beta < el[1] else []
     lo = k - (left is not None)
     stack[lo : k + 1 + (right is not None)] = head + [[alpha, beta, v, 0.0]] + tail
-    return lo + len(head)
+    return lo + len(head), not head, not tail
 
 
 def _isotonic_pieces(pieces):
@@ -169,19 +171,19 @@ def _isotonic_pieces(pieces):
             stack.append([s0, s1, x0, b])
         else:
             stack.append([s0, s1, _piece_mean(s0, s1, x0, b), 0.0])
-        k = len(stack) - 1
+        k, open_left, open_right = len(stack) - 1, True, True
         while True:
-            if k + 1 < len(stack) and _violates(stack[k], stack[k + 1]):
+            if open_right and k + 1 < len(stack) and _violates(stack[k], stack[k + 1]):
                 bad = k
-            elif k > 0 and _violates(stack[k - 1], stack[k]):
+            elif open_left and k > 0 and _violates(stack[k - 1], stack[k]):
                 bad = k - 1
             else:
                 break
             left, right = stack[bad], stack[bad + 1]
             if left[3] == 0.0 and right[3] == 0.0:
-                k = _pool(stack, bad)
+                k, open_left, open_right = _pool(stack, bad), True, True
             elif left[3] == 0.0 or right[3] == 0.0:
-                k = _fit(stack, bad if left[3] == 0.0 else bad + 1)
+                k, open_left, open_right = _fit(stack, bad if left[3] == 0.0 else bad + 1)
             else:
                 raise AssertionError("rising pieces cannot violate each other")
     return stack

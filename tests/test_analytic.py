@@ -362,6 +362,37 @@ def test_structure_matches_rescan_reference_bits():
         assert len(got) <= len(before) // 3
 
 
+def test_steep_segment_beside_heavy_atoms_ends_and_meets_optimality():
+    """A segment of tiny mass beside one or two heavy atoms, so of slope b
+    near 1e5 or more in the quantile.  A refit leaves what is left of the
+    segment continuous with the pool only to about b/2 ulp of a level, over
+    the 1e-12 tolerance of the value check; the pass must still end, and the
+    projection meets its optimality conditions within that rounding.  The
+    first measure is atoms (0, 0.5) and (1, 0.5 - 1e-5) around [0, 1]."""
+    from oracles import isotonic_kkt_defect
+
+    from wgflow.analytic import _transported_pieces
+
+    rng = np.random.default_rng(9753)
+    cases = [(0.0, 1.0, 1e-5, 0.5, 0)] * 40
+    for k in range(240):
+        x, width = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))
+        cases.append((x, width, float(10.0 ** rng.uniform(-9.0, -5.0)), float(rng.uniform(0.3, 0.7)), k % 3))
+    for x, width, mass, heavy, where in cases:
+        segment = ((x, x + width, mass),)
+        if where == 0:
+            atoms = ((x, heavy), (x + width, 1.0 - heavy - mass))
+        else:
+            atoms = ((x + width if where == 1 else x, 1.0 - mass),)
+        sol = ExactSolution(KIND_ATTRACTIVE, Measure1D(atoms=atoms, pieces=segment), float(rng.uniform(0.3, 2.5)))
+        t = float(rng.uniform(0.0, 1.0))
+        pieces = _transported_pieces(sol, t)
+        x_max = max(max(abs(x0), abs(x0 + b * (s1 - s0))) for s0, s1, x0, b in pieces)
+        b_max = max(b for *_, b in pieces)
+        assert b_max >= 5e4
+        assert isotonic_kkt_defect(sol, t) <= 1e-12 * (1.0 + x_max) + b_max * 2.0**-53
+
+
 # exact_grid(sol, t, 8) for PINNED_SOLUTION, as float.hex; the times reach
 # pooling of two pools, a pool swallowing a whole neighbour on either side,
 # and fits of a pool against a rising piece on one side and on both

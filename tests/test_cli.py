@@ -340,9 +340,9 @@ def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
     import wgflow.jko as jko
     from wgflow.potential import pair_force
 
-    # every energy evaluation after the first is larger, so no trial passes
+    # every energy after the first, at the starting grid, is larger, so no
+    # backtracking trial passes; each trial takes energy and force together
     calls = itertools.count()
-    monkeypatch.setattr(jko, "pair_energy", lambda W, x, m: float(next(calls)))
     monkeypatch.setattr(
         jko, "pair_energy_force", lambda W, x, m, cone: (float(next(calls)), pair_force(W, x, m, cone))
     )

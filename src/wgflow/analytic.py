@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,17 +28,20 @@ KIND_ATTRACTIVE = "attractive_cusp_collapse"
 @dataclass(frozen=True)
 class ExactSolution:
     """Reference flow for W(x) = -eta_abs*|x| (diffusion) or +eta_abs*|x|
-    (collapse) started from a finitely described measure."""
+    (collapse) started from a finitely described measure; ``pieces`` holds
+    ``quantile_pieces(init)``, taken once when the solution is built."""
 
     kind: str
     init: Measure1D
     eta_abs: float
+    pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_REPULSIVE, KIND_ATTRACTIVE):
             raise DomainError(f"unknown exact-solution kind {self.kind!r}")
         if not self.eta_abs > 0.0:
             raise DomainError("eta_abs must be positive")
+        object.__setattr__(self, "pieces", tuple(quantile_pieces(self.init)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def _transported_pieces(sol: ExactSolution, t: float):
     shift = sign * sol.eta_abs * t
     return [
         (s0, s1, x0 + shift * (2.0 * s0 - 1.0), b + 2.0 * shift)
-        for s0, s1, x0, b in quantile_pieces(sol.init)
+        for s0, s1, x0, b in sol.pieces
     ]
 
 
@@ -253,7 +256,7 @@ def collapse_time(sol: ExactSolution) -> float:
     ``q = s0 (x0 - b s0/2) - F(s0)``, F = int X0."""
     if sol.kind != KIND_ATTRACTIVE:
         raise DomainError("collapse time is defined for the attractive kind only")
-    pieces = quantile_pieces(sol.init)
+    pieces = sol.pieces
     if _end_value(pieces[-1]) <= pieces[0][2]:
         return 0.0
     # integrals below each piece summed from the bottom, above it from the top

@@ -3,7 +3,10 @@ one-dimensional measures through their quantile functions, and the finite
 primal/dual transportation problem solved by the transportation simplex with
 a complementary-slackness duality certificate.
 
-The simplex keeps its basis tree between pivots and sets again only the
+The simplex prices every non-basic cell and enters the most negative reduced
+cost (Dantzig's rule), or the least-index candidate right after a degenerate
+pivot (Bland's rule); a cell is a candidate below a threshold scaled to the
+largest cost.  It keeps its basis tree between pivots and sets again only the
 potentials of the subtree that a pivot re-hangs; the certificate walks the
 plan's support once with ``_walk`` for its potentials and components.  Both
 set ``u_i + v_j = c_ij`` along tree edges from row 0 of each component.
@@ -25,7 +28,9 @@ _SUPPORT_TOL = 1e-12
 
 class PivotCapReached(RuntimeError):
     """The transportation simplex made ``pivots`` pivots, its cap of
-    ``200*m*n + 200``, without reaching an optimal basis."""
+    ``200*m*n + 200``, without reaching an optimal basis.  Its pivot rules
+    end on every instance, so the cap guards against a fault, not a
+    cycle."""
 
     def __init__(self, pivots: int):
         super().__init__("transportation simplex did not terminate")
@@ -259,13 +264,24 @@ def _hang(adj, cost, parent, depth, pot, m, a, b):
                 stack.append((b, d))
 
 
+def _pivot_cap(m: int, n: int) -> int:
+    return 200 * m * n + 200
+
+
 def solve_primal(inst: DiscreteInstance) -> TransportPlan:
     """Minimal-cost plan via the transportation simplex.
 
-    Bland's least-index rule is used for both the entering and the leaving
-    cell, which rules out cycling on degenerate instances.  The basis tree is
-    built once from the north-west-corner start, rooted at row 0, and kept
-    between pivots with every node's parent, depth and potential.  The
+    A non-basic cell is a candidate to enter when its reduced cost is below
+    ``-1e-12 * max(1, max|c|)``: the potentials carry rounding of the order
+    of the costs, so the threshold is scaled to them.  The most negative
+    reduced cost enters (Dantzig's rule, ties to the least row-major index),
+    except right after a degenerate pivot (theta = 0), when the least-index
+    candidate enters; the leaving cell is always the least index among the
+    tied ones.  This ends: each non-degenerate pivot lowers the objective,
+    and an endless run of degenerate pivots would follow Bland's rule from
+    its second pivot on, which does not cycle.  The basis tree is built once
+    from the north-west-corner start, rooted at row 0, and kept between
+    pivots with every node's parent, depth and potential.  The
     entering cell's cycle is found by climbing from its row and its column
     until the two paths meet.  The leaving cell cuts off a subtree; it is
     hung by the entering cell under the rest, and its potentials alone are
@@ -296,12 +312,16 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
         _hang(adj, c, parent, depth, pot, m, a, b)
     if -1 in depth:
         raise RuntimeError("basis graph is not a spanning tree")
-    cap = 200 * m * n + 200
+    tol = -1e-12 * max(1.0, float(np.max(np.abs(cost))))
+    cap = _pivot_cap(m, n)
+    degenerate = False
     for _ in range(cap):
         uv = np.array(pot)
-        entering = (cost - uv[:m, None] - uv[None, m:] < -1e-12) & nonbasic
-        k = int(entering.argmax())  # the least index, as Bland's rule asks
-        if not entering.flat[k]:
+        reduced = np.where(nonbasic, cost - uv[:m, None] - uv[None, m:], 0.0)
+        # right after a degenerate pivot the least index enters (Bland's
+        # rule), else the most negative reduced cost (Dantzig's rule)
+        k = int((reduced < tol).argmax() if degenerate else reduced.argmin())
+        if not reduced.flat[k] < tol:
             break
         i0, j0 = divmod(k, n)
         # climb from both ends to their meeting node; the tree edges at even
@@ -319,6 +339,7 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
         minus = edges[0 : len(up_a) : 2] + edges[len(up_a) :: 2]
         plus = [(i0, j0)] + edges[1 : len(up_a) : 2] + edges[len(up_a) + 1 :: 2]
         theta = min(x[i][j] for i, j in minus)
+        degenerate = theta == 0.0
         li, lj = min((i, j) for i, j in minus if x[i][j] == theta)
         for i, j in plus:
             x[i][j] += theta

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the algorithms they check: the transport oracle
-enumerates every basis tree of the bipartite graph, the isotonic oracle does
-a lattice search, exact distances are integrated in rational arithmetic from
-the CDF, and gradients are checked by central differences.
+These deliberately avoid the algorithms they check: the transport oracles
+enumerate every basis tree of the bipartite graph or call HiGHS, the
+isotonic oracle does a lattice search, exact distances are integrated in
+rational arithmetic from the CDF, and gradients are checked by central
+differences.
 """
 
 import itertools
@@ -90,6 +91,29 @@ def exhaustive_transport_minimum(p, q, cost):
     if not feasible.any():
         raise RuntimeError("no feasible vertex found")
     return float(objectives[feasible].min())
+
+
+def linprog_transport_minimum(p, q, cost):
+    """Minimum transport cost from HiGHS through ``scipy.optimize.linprog``."""
+    import pytest
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from scipy import sparse
+
+    cost = np.asarray(cost, dtype=float)
+    m, n = cost.shape
+    rows = sparse.kron(sparse.eye(m), np.ones((1, n)))
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n))
+    res = linprog(
+        cost.ravel(),
+        A_eq=sparse.vstack([rows, cols]).tocsr(),
+        b_eq=np.concatenate([p, q]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"linprog did not solve the instance: {res.message}")
+    return float(res.fun)
 
 
 # --- brute-force isotonic regression ---------------------------------------
@@ -343,9 +367,10 @@ def random_instance(rng, max_size=4, dim=1):
 
 # --- reference transportation simplex ----------------------------------------
 #
-# The simplex as it stood before its basis tree was kept between pivots: each
-# pivot walks the whole basis tree again for its potentials and parents, and
-# reads the entering cell's cycle off those parents.
+# The simplex with the entering and leaving rules of ``solve_primal`` but
+# without its kept basis tree: each pivot walks the whole basis tree again for
+# its potentials and parents, and reads the entering cell's cycle off those
+# parents.
 
 
 def _northwest_corner(p, q):
@@ -414,7 +439,9 @@ def _cycle(parent, enter, m):
 
 
 def reference_simplex(inst):
-    """Transportation simplex with Bland's rule, walking the basis per pivot."""
+    """Transportation simplex walking the basis per pivot: the most negative
+    reduced cost enters, or the least-index candidate right after a
+    degenerate pivot, with the threshold scaled to the largest cost."""
     from wgflow.transport import TransportPlan
 
     p = inst.source_masses
@@ -422,6 +449,8 @@ def reference_simplex(inst):
     cost = inst.cost
     m, n = cost.shape
     x, basis = _northwest_corner(p, q)
+    tol = -1e-12 * max(1.0, float(np.max(np.abs(cost))))
+    degenerate = False
     for _ in range(200 * m * n + 200):
         u, v, comp, parent = _walk(basis, cost, m, n)
         if np.any(comp != 0):
@@ -429,13 +458,17 @@ def reference_simplex(inst):
         reduced = cost - u[:, None] - v[None, :]
         for i, j in basis:
             reduced[i, j] = 0.0
-        candidates = np.flatnonzero(reduced < -1e-12)
+        candidates = np.flatnonzero(reduced < tol)
         if candidates.size == 0:
             break
-        enter = divmod(int(candidates[0]), n)
+        if degenerate:
+            enter = divmod(int(candidates[0]), n)
+        else:
+            enter = divmod(int(np.argmin(reduced)), n)
         cycle = _cycle(parent, enter, m)
         minus = cycle[1::2]
         theta = min(x[c] for c in minus)
+        degenerate = theta == 0.0
         leave = min(c for c in minus if x[c] == theta)
         for k, c in enumerate(cycle):
             x[c] += theta if k % 2 == 0 else -theta

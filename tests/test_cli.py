@@ -396,6 +396,29 @@ def test_ot_simplex_cap_record(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_ot_near_tied_costs_solve(tmp_path, capsys):
+    # costs near 1e6 tied to within 0.1 leave about 1e-10 of rounding in the
+    # potentials; under a threshold of -1e-12 not scaled to the costs this
+    # instance pivoted until the cap and exited 3
+    from oracles import linprog_transport_minimum
+
+    e = 1e6
+    cost = [
+        [0.1, 3 * e + 0.1, 2 * e + 0.2, e + 0.1, e + 0.1],
+        [3 * e + 0.1, 0.0, 2 * e, 0.1, 0.2],
+        [2 * e, 3 * e + 0.2, 2 * e + 0.2, 3 * e, 2 * e + 0.1],
+        [3 * e, 2 * e + 0.2, 0.2, 3 * e + 0.1, e],
+        [2 * e + 0.2, e + 0.1, 0.2, 3 * e + 0.2, 3 * e + 0.2],
+    ]
+    atoms = [[[0.0], 0.2]] * 5
+    payload = {"sources": atoms, "sinks": atoms, "cost": cost}
+    assert main(["ot", _write(tmp_path / "t.json", payload)]) == 0
+    values = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(values["gap"]) <= 1e-7
+    optimum = linprog_transport_minimum(np.full(5, 0.2), np.full(5, 0.2), cost)
+    assert float(values["primal"]) == pytest.approx(optimum, rel=1e-9, abs=0.0)
+
+
 def test_run_near_linear_power_from_dirac(tmp_path):
     # a positive power with p near 1 has curvature unbounded at ties
     cfg = dict(REPULSIVE_DIRAC_RUN, tau=0.025, n=2, t_end=0.1)

@@ -30,7 +30,7 @@ from wgflow import (
     weak_residual,
 )
 from oracles import lattice_isotonic
-from wgflow.potential import curvature_bound
+from wgflow.potential import curvature_bound, evaluate
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)
@@ -107,20 +107,13 @@ def test_step_from_dirac_brute_force_n3():
     cfg = JkoConfig(tau=tau, n=3, t_end=1.0)
     out = jko_step(REPULSIVE, QuantileGrid(np.zeros(3)), cfg)
 
-    def objective(x):
-        g = QuantileGrid(np.sort(x))
-        return np.sum(x * x) / (2 * tau * 3) + interaction_energy(REPULSIVE, g)
-
+    # every nondecreasing triple of the lattice, in lexicographic order, so
+    # argmin takes the first least value as a scan over a <= b <= c would
     span = np.linspace(-3 * tau, 3 * tau, 121)
-    best, best_val = None, np.inf
-    for a in span:
-        for b in span[span >= a]:
-            cs = span[span >= b]
-            vals = [objective(np.array([a, b, c])) for c in cs]
-            k = int(np.argmin(vals))
-            if vals[k] < best_val:
-                best_val = vals[k]
-                best = np.array([a, b, cs[k]])
+    idx = np.indices((span.size,) * 3).reshape(3, -1)
+    x = span[idx[:, (idx[0] <= idx[1]) & (idx[1] <= idx[2])].T]
+    energy = np.sum(evaluate(REPULSIVE, x[:, :, None] - x[:, None, :]), axis=(1, 2)) / (2 * 3**2)
+    best = x[np.argmin(np.sum(x * x, axis=1) / (2 * tau * 3) + energy)]
     assert np.allclose(out.values, best, atol=2 * 6 * tau / 120)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wgflow import transport
 from wgflow import (
     DiscreteInstance,
     DomainError,
@@ -17,6 +18,7 @@ from wgflow import (
 )
 from oracles import (
     exhaustive_transport_minimum,
+    linprog_transport_minimum,
     random_instance,
     random_measure,
     rational_w2_squared,
@@ -129,7 +131,7 @@ def test_solve_primal_matches_exhaustive_oracle():
 
 def test_simplex_on_degenerate_tied_instances():
     # masses on a coarse dyadic lattice and heavily tied costs force
-    # degenerate pivots; Bland's rule must still terminate at the optimum
+    # degenerate pivots; the pivot rules must still end at the optimum
     rng = np.random.default_rng(23571)
     for _ in range(120):
         m = int(rng.integers(2, 5))
@@ -310,7 +312,8 @@ def test_solve_dual_refuses_nonoptimal_cyclic_support():
 
 
 def test_simplex_and_certificate_pinned_bits():
-    # values taken from the simplex before its walks were merged into one
+    # objective bits taken from the simplex before its walks were merged into
+    # one; the plan's digest from the first with priced entering cells
     import hashlib
 
     rng = np.random.default_rng(4040)
@@ -326,8 +329,10 @@ def test_simplex_and_certificate_pinned_bits():
     assert plan.objective.hex() == "0x1.cdbd5a58bc47ap-6"
     assert dual.objective.hex() == "0x1.cdbd5a58bc480p-6"
     assert hashlib.sha256(plan.x.tobytes()).hexdigest() == (
-        "434aed86b4a1b80c5d91d56728872844d42b918ce897b591e48f9a4d41b0d9a5"
+        "43c725525b141e7474c36887bd0b7dfc8948004c37fd1f819c29a8d5e15cbef1"
     )
+    optimum = linprog_transport_minimum(inst.source_masses, inst.sink_masses, inst.cost)
+    assert plan.objective == pytest.approx(optimum, rel=1e-12, abs=0.0)
 
 
 def _dyadic_instance(rng, cost):
@@ -360,13 +365,15 @@ def test_simplex_matches_reference_bits():
     for k in range(160):  # tied integer costs force degenerate pivots
         cost = rng.integers(0, 3, size=rng.integers(2, 7, size=2)).astype(float)
         instances.append(_dyadic_instance(rng, cost * (1e6 if k % 3 == 0 else 1.0)))
+    near_tied = []
     for _ in range(100):
         # near-ties at 1e6 leave rounding in the potentials: entering cells
-        # then depend on their last bits, and on some instances the
-        # reference runs into its iteration cap, which must be reproduced
+        # then depend on their last bits, and under a threshold not scaled
+        # to the costs some of these instances ran into the iteration cap
         shape = rng.integers(2, 6, size=2)
         cost = rng.integers(0, 4, size=shape) * 1e6 + rng.integers(0, 3, size=shape) * 0.1
-        instances.append(_dyadic_instance(rng, cost))
+        near_tied.append(_dyadic_instance(rng, cost))
+    instances += near_tied
     instances += [random_instance(rng, max_size=12, dim=2) for _ in range(100)]
     for _ in range(3):
         p = 0.5 + rng.random(40)
@@ -376,16 +383,27 @@ def test_simplex_matches_reference_bits():
         ))
     for inst in instances:
         assert _outcome(solve_primal, inst) == _outcome(reference_simplex, inst)
+    for inst in near_tied:
+        optimum = linprog_transport_minimum(inst.source_masses, inst.sink_masses, inst.cost)
+        assert solve_primal(inst).objective == pytest.approx(optimum, rel=1e-12, abs=0.0)
 
 
-def test_simplex_cap_is_a_named_failure():
-    # near-ties at 1e6 defeat the absolute reduced-cost threshold on this
-    # 11x12 instance: Bland's rule keeps pivoting until the cap
+def test_simplex_cap_is_a_named_failure(monkeypatch):
+    # near-ties at 1e6 leave about 1e-10 of rounding in the potentials; a
+    # threshold of -1e-12 not scaled to the costs kept this 11x12 instance
+    # pivoting until the cap, and the scaled one solves it
     rng = np.random.default_rng(1)
     m, n = (int(k) for k in rng.integers(8, 16, size=2))
     cost = rng.integers(0, 4, (m, n)) * 1e6 + rng.integers(0, 3, (m, n)) * 0.1
     inst = DiscreteInstance(np.zeros((m, 1)), np.full(m, 1.0 / m), np.zeros((n, 1)), np.full(n, 1.0 / n), cost)
+    assert (m, n) == (11, 12)
+    plan = solve_primal(inst)
+    dual = solve_dual(inst, plan)
+    assert abs(dual.objective - plan.objective) <= 1e-7
+    optimum = linprog_transport_minimum(inst.source_masses, inst.sink_masses, cost)
+    assert plan.objective == pytest.approx(optimum, rel=1e-12, abs=0.0)
+    # a cap it cannot meet names the failure and the pivots made
+    monkeypatch.setattr(transport, "_pivot_cap", lambda m, n: 3)
     with pytest.raises(PivotCapReached, match="^transportation simplex did not terminate$") as caught:
         solve_primal(inst)
-    assert (m, n) == (11, 12)
-    assert caught.value.pivots == 200 * m * n + 200
+    assert caught.value.pivots == 3

@@ -5,11 +5,12 @@ a complementary-slackness duality certificate.
 
 The simplex prices every non-basic cell and enters the most negative reduced
 cost (Dantzig's rule), or the least-index candidate right after a degenerate
-pivot (Bland's rule); a cell is a candidate below a threshold scaled to the
-largest cost.  It keeps its basis tree between pivots and sets again only the
-potentials of the subtree that a pivot re-hangs; the certificate walks the
-plan's support once with ``_walk`` for its potentials and components.  Both
-set ``u_i + v_j = c_ij`` along tree edges from row 0 of each component.
+pivot (Bland's rule); a cell is a candidate when its reduced cost is below
+``-1e-12`` by more than the rounding its two potentials carry.  It keeps its
+basis tree between pivots and sets again only the potentials of the subtree
+that a pivot re-hangs; the certificate walks the plan's support once with
+``_walk`` for its potentials and components.  Both set ``u_i + v_j = c_ij``
+along tree edges from row 0 of each component.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ BALANCE_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 DUALITY_TOL = 1e-7
 _SUPPORT_TOL = 1e-12
+_REDUCED_TOL = 1e-12
+_ROUNDING = 2.0**-51  # four times the unit roundoff of a double
 
 
 class PivotCapReached(RuntimeError):
@@ -247,11 +250,15 @@ def _walk(cells, cost, m, n):
     return pot[:m], pot[m:], np.array(comp)
 
 
-def _hang(adj, cost, parent, depth, pot, m, a, b):
+def _hang(adj, cost, parent, depth, pot, err, low, m, a, b):
     """Hang node ``b``, with everything beyond it in the tree ``adj``, under
-    node ``a``: reset ``parent``, ``depth`` and ``pot`` down from ``b``, each
-    edge ``(i, j)`` setting its far end so that ``u_i + v_j = cost[i][j]``.
-    Nodes are numbered as in ``_walk``.
+    node ``a``: reset ``parent``, ``depth``, ``pot``, ``err`` and ``low``
+    down from ``b``, each edge ``(i, j)`` setting its far end so that
+    ``u_i + v_j = cost[i][j]``.  A subtraction rounds by at most half a unit
+    in the last place of its result, so ``err``, the sum of ``_ROUNDING``
+    times the potentials along the tree path, bounds four times the rounding
+    a potential carries; ``low`` is the potential less ``err``.  Nodes are
+    numbered as in ``_walk``.
     """
     stack = [(a, b)]
     while stack:
@@ -259,6 +266,8 @@ def _hang(adj, cost, parent, depth, pot, m, a, b):
         parent[b] = a
         depth[b] = depth[a] + 1
         pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+        err[b] = err[a] + _ROUNDING * abs(pot[b])
+        low[b] = pot[b] - err[b]
         for d in adj[b]:
             if d != a:
                 stack.append((b, d))
@@ -271,22 +280,27 @@ def _pivot_cap(m: int, n: int) -> int:
 def solve_primal(inst: DiscreteInstance) -> TransportPlan:
     """Minimal-cost plan via the transportation simplex.
 
-    A non-basic cell is a candidate to enter when its reduced cost is below
-    ``-1e-12 * max(1, max|c|)``: the potentials carry rounding of the order
-    of the costs, so the threshold is scaled to them.  The most negative
-    reduced cost enters (Dantzig's rule, ties to the least row-major index),
-    except right after a degenerate pivot (theta = 0), when the least-index
-    candidate enters; the leaving cell is always the least index among the
-    tied ones.  This ends: each non-degenerate pivot lowers the objective,
-    and an endless run of degenerate pivots would follow Bland's rule from
-    its second pivot on, which does not cycle.  The basis tree is built once
-    from the north-west-corner start, rooted at row 0, and kept between
-    pivots with every node's parent, depth and potential.  The
-    entering cell's cycle is found by climbing from its row and its column
-    until the two paths meet.  The leaving cell cuts off a subtree; it is
-    hung by the entering cell under the rest, and its potentials alone are
-    set again.  Every potential is thus computed along its tree path from
-    row 0 with the same arithmetic as a walk of the whole tree.  After
+    Each potential carries the rounding of the subtractions along its tree
+    path from row 0, and a reduced cost that of its own two potentials, so
+    a large cost elsewhere in the matrix does not blur the test of a small
+    one.  The reduced cost of a non-basic cell ``(i, j)`` is raised by a
+    bound on that rounding, ``1e-12 + 2**-51 * (|c_ij| + S_i + S_j)`` with
+    ``S`` the sum of ``|u|`` and ``|v|`` along a potential's path
+    (``_hang``'s ``err``); the cell is a candidate when the raised value is
+    below 0.  The most negative raised value enters (Dantzig's rule, ties to
+    the least row-major index), except right after a degenerate pivot
+    (theta = 0), when the least-index candidate enters; the leaving cell is
+    always the least index among the tied ones.  This ends: each
+    non-degenerate pivot lowers the objective, and an endless run of
+    degenerate pivots would follow Bland's rule from its second pivot on,
+    which does not cycle.  The basis tree is built once from the
+    north-west-corner start, rooted at row 0, and kept between pivots with
+    every node's parent, depth, potential and rounding bound.  The entering
+    cell's cycle is found by climbing from its row and its column until the
+    two paths meet.  The leaving cell cuts off a subtree; it is hung by the
+    entering cell under the rest, and its potentials alone are set again.
+    Every potential is thus computed along its tree path from row 0 with
+    the same arithmetic as a walk of the whole tree.  After
     ``200*m*n + 200`` pivots it gives up with ``PivotCapReached``.
     """
     p = inst.source_masses
@@ -301,6 +315,8 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
     parent = [-1] * (m + n)
     depth = [0] + [-1] * (m + n - 1)
     pot = [0.0] * (m + n)
+    err = [0.0] * (m + n)
+    low = [0.0] * (m + n)
     # each north-west-corner cell must join one new row or column to the tree
     for i, j in cells:
         a, b = (i, m + j) if depth[i] >= 0 else (m + j, i)
@@ -309,19 +325,20 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
         nonbasic[i, j] = False
         adj[i].append(m + j)
         adj[m + j].append(i)
-        _hang(adj, c, parent, depth, pot, m, a, b)
+        _hang(adj, c, parent, depth, pot, err, low, m, a, b)
     if -1 in depth:
         raise RuntimeError("basis graph is not a spanning tree")
-    tol = -1e-12 * max(1.0, float(np.max(np.abs(cost))))
+    # reduced costs raised by the rounding they may carry: a candidate is below 0
+    ceiling = cost + (_REDUCED_TOL + _ROUNDING * np.abs(cost))
     cap = _pivot_cap(m, n)
     degenerate = False
     for _ in range(cap):
-        uv = np.array(pot)
-        reduced = np.where(nonbasic, cost - uv[:m, None] - uv[None, m:], 0.0)
+        uv = np.array(low)
+        reduced = np.where(nonbasic, ceiling - uv[:m, None] - uv[None, m:], 0.0)
         # right after a degenerate pivot the least index enters (Bland's
         # rule), else the most negative reduced cost (Dantzig's rule)
-        k = int((reduced < tol).argmax() if degenerate else reduced.argmin())
-        if not reduced.flat[k] < tol:
+        k = int((reduced < 0.0).argmax() if degenerate else reduced.argmin())
+        if not reduced.flat[k] < 0.0:
             break
         i0, j0 = divmod(k, n)
         # climb from both ends to their meeting node; the tree edges at even
@@ -354,9 +371,9 @@ def solve_primal(inst: DiscreteInstance) -> TransportPlan:
         adj[m + j0].append(i0)
         # the leaving edge cuts off the subtree holding the end on its side
         if edges.index((li, lj)) < len(up_a):
-            _hang(adj, c, parent, depth, pot, m, m + j0, i0)
+            _hang(adj, c, parent, depth, pot, err, low, m, m + j0, i0)
         else:
-            _hang(adj, c, parent, depth, pot, m, i0, m + j0)
+            _hang(adj, c, parent, depth, pot, err, low, m, i0, m + j0)
     else:
         raise PivotCapReached(cap)
     x = np.array(x)

@@ -401,6 +401,7 @@ def _walk(cells, cost, m, n):
         adj[i].append(m + j)
         adj[m + j].append(i)
     pot = [0.0] * (m + n)
+    err = [0.0] * (m + n)
     comp = [-1] * (m + n)
     parent = [-1] * (m + n)
     ncomp = 0
@@ -417,10 +418,11 @@ def _walk(cells, cost, m, n):
                     parent[b] = a
                     i, j = (a, b - m) if a < m else (b, a - m)
                     pot[b] = cost[i, j] - pot[a]
+                    err[b] = err[a] + 2.0**-51 * abs(pot[b])
                     stack.append(b)
         ncomp += 1
     pot = np.array(pot)
-    return pot[:m], pot[m:], np.array(comp), parent
+    return pot - np.array(err), np.array(comp), parent
 
 
 def _cycle(parent, enter, m):
@@ -441,7 +443,8 @@ def _cycle(parent, enter, m):
 def reference_simplex(inst):
     """Transportation simplex walking the basis per pivot: the most negative
     reduced cost enters, or the least-index candidate right after a
-    degenerate pivot, with the threshold scaled to the largest cost."""
+    degenerate pivot.  A cell is a candidate below ``-1e-12`` less the
+    rounding its potentials carry along their tree paths."""
     from wgflow.transport import TransportPlan
 
     p = inst.source_masses
@@ -449,16 +452,16 @@ def reference_simplex(inst):
     cost = inst.cost
     m, n = cost.shape
     x, basis = _northwest_corner(p, q)
-    tol = -1e-12 * max(1.0, float(np.max(np.abs(cost))))
     degenerate = False
     for _ in range(200 * m * n + 200):
-        u, v, comp, parent = _walk(basis, cost, m, n)
+        low, comp, parent = _walk(basis, cost, m, n)
         if np.any(comp != 0):
             raise RuntimeError("basis graph is not a spanning tree")
-        reduced = cost - u[:, None] - v[None, :]
+        # reduced costs raised by the rounding they may carry
+        reduced = cost + (1e-12 + 2.0**-51 * np.abs(cost)) - low[:m, None] - low[None, m:]
         for i, j in basis:
             reduced[i, j] = 0.0
-        candidates = np.flatnonzero(reduced < tol)
+        candidates = np.flatnonzero(reduced < 0.0)
         if candidates.size == 0:
             break
         if degenerate:

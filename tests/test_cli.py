@@ -419,6 +419,19 @@ def test_ot_near_tied_costs_solve(tmp_path, capsys):
     assert float(values["primal"]) == pytest.approx(optimum, rel=1e-9, abs=0.0)
 
 
+def test_ot_forbidden_cells_solve(tmp_path, capsys):
+    # cells of cost 1e10 beside costs of 1e-3: a threshold scaled to the
+    # largest cost stopped at a plan of cost 8e-4, which the certificate
+    # refused with exit code 2
+    cost = [[1e-3, 0.0, 1e10], [0.0, 1e-3, 1e10], [1e10, 1e10, 0.0]]
+    atoms = [[[0.0], 0.4], [[0.0], 0.4], [[0.0], 0.2]]
+    payload = {"sources": atoms, "sinks": atoms, "cost": cost}
+    assert main(["ot", _write(tmp_path / "t.json", payload)]) == 0
+    values = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(values["primal"]) == 0.0
+    assert float(values["gap"]) <= 1e-7
+
+
 def test_run_near_linear_power_from_dirac(tmp_path):
     # a positive power with p near 1 has curvature unbounded at ties
     cfg = dict(REPULSIVE_DIRAC_RUN, tau=0.025, n=2, t_end=0.1)

@@ -368,12 +368,13 @@ def test_simplex_matches_reference_bits():
     near_tied = []
     for _ in range(100):
         # near-ties at 1e6 leave rounding in the potentials: entering cells
-        # then depend on their last bits, and under a threshold not scaled
-        # to the costs some of these instances ran into the iteration cap
+        # then depend on their last bits, and under a threshold blind to
+        # that rounding some of these instances ran into the iteration cap
         shape = rng.integers(2, 6, size=2)
         cost = rng.integers(0, 4, size=shape) * 1e6 + rng.integers(0, 3, size=shape) * 0.1
         near_tied.append(_dyadic_instance(rng, cost))
     instances += near_tied
+    instances += [_forbidden_cells_instance(rng) for _ in range(60)]
     instances += [random_instance(rng, max_size=12, dim=2) for _ in range(100)]
     for _ in range(3):
         p = 0.5 + rng.random(40)
@@ -388,10 +389,44 @@ def test_simplex_matches_reference_bits():
         assert solve_primal(inst).objective == pytest.approx(optimum, rel=1e-12, abs=0.0)
 
 
+def _forbidden_cells_instance(rng):
+    # costs at scales from 1e-4 to 1 beside "forbidden" cells of cost 1e10,
+    # which a plan on the support of a north-west corner over shuffled
+    # columns avoids; the simplex starts from the unshuffled corner, whose
+    # tree may pass through forbidden cells and carry potentials near 1e10
+    m, n = (int(k) for k in rng.integers(2, 5, size=2))
+    cost = rng.random((m, n)) * 10.0 ** rng.integers(-4, 1, size=(m, n))
+    inst = _dyadic_instance(rng, cost)
+    perm = rng.permutation(n)
+    _, cells = transport._northwest_corner(inst.source_masses, inst.sink_masses[perm])
+    allowed = np.zeros((m, n), dtype=bool)
+    for i, j in cells:
+        allowed[i, perm[j]] = True
+    cost[~allowed & (rng.random((m, n)) < 0.7)] = 1e10
+    return DiscreteInstance(np.zeros((m, 1)), inst.source_masses, np.zeros((n, 1)), inst.sink_masses, cost)
+
+
+def test_simplex_with_forbidden_cells():
+    # a reduced cost carries the rounding of its own potentials only: a
+    # threshold scaled to the largest cost let (0, 1) stay out of this basis
+    # at a reduced cost of -2e-3, for an objective of 8e-4 against 0
+    cost = np.array([[1e-3, 0.0, 1e10], [0.0, 1e-3, 1e10], [1e10, 1e10, 0.0]])
+    p = np.array([0.4, 0.4, 0.2])
+    cases = [DiscreteInstance(np.zeros((3, 1)), p, np.zeros((3, 1)), p, cost)]
+    rng = np.random.default_rng(6061)
+    cases += [_forbidden_cells_instance(rng) for _ in range(150)]
+    for inst in cases:
+        plan = solve_primal(inst)
+        optimum = exhaustive_transport_minimum(inst.source_masses, inst.sink_masses, inst.cost)
+        assert plan.objective == pytest.approx(optimum, rel=1e-12, abs=1e-15)
+        dual = solve_dual(inst, plan)
+        assert abs(dual.objective - plan.objective) <= 1e-7
+
+
 def test_simplex_cap_is_a_named_failure(monkeypatch):
     # near-ties at 1e6 leave about 1e-10 of rounding in the potentials; a
-    # threshold of -1e-12 not scaled to the costs kept this 11x12 instance
-    # pivoting until the cap, and the scaled one solves it
+    # threshold of -1e-12 blind to that rounding kept this 11x12 instance
+    # pivoting until the cap, and the one that allows for it solves it
     rng = np.random.default_rng(1)
     m, n = (int(k) for k in rng.integers(8, 16, size=2))
     cost = rng.integers(0, 4, (m, n)) * 1e6 + rng.integers(0, 3, (m, n)) * 0.1

@@ -25,18 +25,17 @@ The sha256 of every structure's ``repr`` and of the run's
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import timeit
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+import two_trees
+
 REPEATS = 5
 ATOMS = (100, 200, 400, 800, 1600)
 RUN_ATOMS = 400
@@ -94,25 +93,8 @@ def measure() -> dict:
     return results
 
 
-def _child(root: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure"], env=env, check=True, capture_output=True, text=True
-    )
-    return json.loads(out.stdout)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", help="checkout of the commit to compare against")
-    parser.add_argument("--measure", action="store_true", help="time the wgflow on sys.path and print JSON")
-    args = parser.parse_args()
-    if args.measure:
-        json.dump(measure(), sys.stdout)
-        return 0
-    if args.base is None:
-        parser.error("--base is required")
-    base, change = _child(args.base), _child(ROOT)
+def report(base: dict, change: dict) -> dict:
+    """The two trees' results with their speedups; their digests must agree."""
     for n in map(str, ATOMS):
         if base["structure"][n]["sha256"] != change["structure"][n]["sha256"]:
             raise SystemExit(f"structures differ at {n} atoms")
@@ -120,16 +102,14 @@ def main() -> int:
         raise SystemExit("wgflow run outputs differ")
     summary = {f"structure_{n}_speedup": base["structure"][n]["s"] / change["structure"][n]["s"] for n in map(str, ATOMS)}
     summary["run_exact_speedup"] = base["run_exact"]["s"] / change["run_exact"]["s"]
-    json.dump({
+    return {
         "command": "python3 tools/bench_exact.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "timing": f"median of {REPEATS} rounds of seconds per call (timeit autorange), each tree in its own interpreter",
         "results": {"base": base, "change": change},
         "speedup": summary,
-    }, sys.stdout, indent=1)
-    print()
-    return 0
+    }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(two_trees.main(__file__, __doc__, measure, report))

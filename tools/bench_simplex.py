@@ -35,19 +35,18 @@ objective.  The change must reach no cap and agree with ``linprog`` to
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
 
 import numpy as np
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path[:0] = [ROOT, os.path.join(ROOT, "tests")]
+import two_trees
+
+sys.path[:0] = [two_trees.ROOT, os.path.join(two_trees.ROOT, "tests")]
 
 from oracles import linprog_transport_minimum  # noqa: E402
 from perfbench.workloads import build  # noqa: E402
@@ -161,38 +160,20 @@ def measure() -> dict:
     return results
 
 
-def _child(root: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure"], env=env, check=True, capture_output=True, text=True
-    )
-    return json.loads(out.stdout)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", help="checkout of the commit to compare against")
-    parser.add_argument("--measure", action="store_true", help="measure the wgflow on sys.path and print JSON")
-    args = parser.parse_args()
-    if args.measure:
-        json.dump(measure(), sys.stdout)
-        return 0
-    if args.base is None:
-        parser.error("--base is required")
-    base, change = _child(args.base), _child(ROOT)
+def report(base: dict, change: dict) -> dict:
+    """The two trees' results with their speedups; the change must reach no
+    cap and agree with ``linprog`` to ``REL_TOL``."""
     for name, res in change.items():
         if res["capped"] or res["max_rel_err"] > REL_TOL:
             raise SystemExit(f"{name}: {res['capped']} capped, relative error {res['max_rel_err']:.3e}")
-    json.dump({
+    return {
         "command": "python3 tools/bench_simplex.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "timing": f"least of {REPEATS} rounds of the seconds per solve over each set, each tree in its own interpreter",
         "results": {"base": base, "change": change},
         "speedup": {name: base[name]["s_per_solve"] / change[name]["s_per_solve"] for name in change},
-    }, sys.stdout, indent=1)
-    print()
-    return 0
+    }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(two_trees.main(__file__, __doc__, measure, report))

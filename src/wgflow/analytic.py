@@ -329,10 +329,10 @@ def weak_residual(traj: FlowTrajectory, W: Potential, test_fns: list[SpaceTimeBu
     Evaluates ``| integral of (d_t phi + v d_x phi) d(mu_t) dt
     + integral of phi(., t0) d(mu_0) |`` with midpoint quadrature in time and
     the quantile-grid expectation in space, where ``v`` is the tie-excluding
-    pairwise velocity of the midpoint grid.  Midpoint grids and each bump's
-    space factor are formed for a block of rows of ``traj.grids`` at a time,
-    velocities one row at a time; the per-step weights are summed in step
-    order.
+    pairwise velocity of the midpoint grid.  Midpoint grids, their
+    velocities (one ``pair_force`` call) and each bump's space factor are
+    formed for a block of rows of ``traj.grids`` at a time; the per-step
+    weights are summed in step order.
     """
     times, grids, n = traj.times, traj.grids, traj.grid_size
     t_mid = 0.5 * (times[:-1] + times[1:])
@@ -343,9 +343,7 @@ def weak_residual(traj: FlowTrajectory, W: Potential, test_fns: list[SpaceTimeBu
     weights = np.zeros((len(test_fns), times.size))
     for rows in _row_chunks(dt.size, n):
         gm = 0.5 * (grids[:-1][rows] + grids[1:][rows])
-        v = np.empty_like(gm)
-        for i, row in enumerate(gm):
-            v[i] = -pair_force(W, row, m, cone=False)
+        v = -pair_force(W, gm, m, cone=False)
         for w, phi, (h, dh) in zip(weights, test_fns, time_factors):
             g, dg = SpaceTimeBump._factor(gm, phi.x_center, phi.x_radius)
             integrand = g * dh[rows, None] + v * (dg * h[rows, None])

@@ -160,9 +160,8 @@ def _trajectory(W: Potential, times: np.ndarray, grids: np.ndarray) -> FlowTraje
     spans = np.diff(times)
     squares = _squares(_row_w2(grids[:-1], grids[1:]))
     costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
-    m = np.full(grids.shape[1], 1.0 / grids.shape[1])
-    energies = [pair_energy(W, row, m) for row in grids]
-    return FlowTrajectory(times, grids, np.array(energies), costs)
+    energies = pair_energy(W, grids, np.full(grids.shape[1], 1.0 / grids.shape[1]))
+    return FlowTrajectory(times, grids, energies, costs)
 
 
 def _pava(y: np.ndarray) -> np.ndarray:

@@ -6,11 +6,12 @@ subgradient of the energy on the monotone cone.
 Every pairwise sum goes through one kernel over sorted weighted points:
 ``pair_energy``, ``pair_force``, both from one pass (``pair_energy_force``),
 and ``pair_hessian``, which applies the energy's Hessian on the monotone cone
-to a vector.  The cusp and quadratic terms are closed form, and a power term
-with p = 2 joins the quadratic.  Every other power term is summed once per
-pair over the lower triangle of the sorted points, in row blocks of at most
-``PAIR_BLOCK`` elements, where the gaps ``x_i - x_j`` are nonnegative; no
-n x n array is held.
+to a vector.  The first three take one row of points or an array of rows,
+such as a whole trajectory.  The cusp and quadratic terms are closed form,
+and a power term with p = 2 joins the quadratic.  Every other power term is
+summed once per pair over the lower triangle of the sorted points, in row
+blocks of at most ``PAIR_BLOCK`` elements, where the gaps ``x_i - x_j`` are
+nonnegative; no n x n array is held.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, QuantileGrid
+from .measures import DomainError, QuantileGrid, _row_chunks
 
 
 @dataclass(frozen=True)
@@ -117,70 +118,95 @@ def _split(W: Potential) -> tuple[float, tuple[tuple[float, float], ...]]:
     return beta, tuple((c, p) for c, p in W.terms if p != 2.0)
 
 
-def _cusp_signs(x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
-    """Entry i is sum_j m_j sign(x_i - x_j): the mass below point i minus the
-    mass above it, from one cumulative sum.  With ``cone`` the sign of a tie
-    is the index order; otherwise tied points are excluded."""
-    c = np.concatenate(([0.0], np.cumsum(m)))
-    if cone:
-        below, upto = c[:-1], c[1:]
-    else:
-        below = c[np.searchsorted(x, x, side="left")]
-        upto = c[np.searchsorted(x, x, side="right")]
-    return below + upto - c[-1]
+def _tie_signs(x: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Entry i is sum_j m_j sign(x_i - x_j) with tied points excluded, for
+    sorted points ``x`` or per row of an array of them: the mass below the
+    run of points equal to x_i minus the mass above it, read off the
+    cumulative masses ``cum`` (with a leading 0) at the run's first index
+    and one past its last, the running maximum of run starts and the
+    running minimum of run ends."""
+    n = x.shape[-1]
+    k = np.arange(n)
+    starts = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[..., 1:], x[..., :-1], out=starts[..., 1:])
+    ends = np.ones(x.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    below = np.maximum.accumulate(np.where(starts, k, 0), axis=-1)
+    upto = np.minimum.accumulate(np.where(ends, k + 1, n)[..., ::-1], axis=-1)[..., ::-1]
+    return cum[below] + cum[upto] - cum[-1]
 
 
 def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: bool, force: bool):
     """``(energy, force)`` of ``pair_energy_force``; a part not asked for is
-    ``None`` and is not computed.
+    ``None`` and is not computed.  ``x`` is one row of sorted points or an
+    array of such rows, all with the weights ``m``; an array of rows gives an
+    energy per row and a force row per row.
 
-    The cusp and quadratic parts are closed form.  A power term ``c|d|^p`` is
-    summed over the lower triangle of the sorted points in the row blocks of
-    ``_triangle_blocks``: there ``d = max(x_i - x_j, 0)``, so the block needs
-    no ``abs`` or ``sign``, and pairs above the diagonal and ties add 0.  One
-    power ``q = d**(p - 1)`` gives the pair force ``c p q``, added to row i
-    and taken from row j, and the pair energy ``c q d``.
+    The cusp and quadratic parts are closed form, taken for a chunk of rows
+    (``measures._row_chunks``) at a time.  ``np.vecdot`` takes the same dot
+    product on each row that ``m @ row`` takes on one, so a row's parts are
+    bit for bit those of the row alone.  With ``s_i`` the mass below point i
+    minus the mass above it, ties in index order, the cusp energy is
+    ``eta sum_i m_i (x_i - m @ x) s_i``; ``s`` depends on ``m`` only.
+
+    A power term ``c|d|^p`` is summed row by row over the lower triangle of
+    the sorted points in the row blocks of ``_triangle_blocks``: there
+    ``d = max(x_i - x_j, 0)``, so the block needs no ``abs`` or ``sign``, and
+    pairs above the diagonal and ties add 0.  One power ``q = d**(p - 1)``
+    gives the pair force ``c p q``, added to row i and taken from row j, and
+    the pair energy ``c q d``.
     """
     beta, terms = _split(W)
-    xc = x - m @ x
-    e = f = None
-    if energy:
-        e = W.eta * float((m * xc) @ _cusp_signs(x, m, cone=True))
-        e += 0.5 * beta * float(m @ xc**2)
-    if force:
-        f = W.eta * _cusp_signs(x, m, cone) + beta * xc
-    if not terms:
-        return e, f
-    for lo, hi in _triangle_blocks(x.size):
-        d = x[lo:hi, None] - x[None, :hi]
-        np.maximum(d, 0.0, out=d)
-        rows, cols = m[lo:hi], m[:hi]
-        for c, p in terms:
-            q = d ** (p - 1.0)
-            if force:
-                f[lo:hi] += (c * p) * (q @ cols)
-                f[:hi] -= (c * p) * (rows @ q)
-            if energy:
-                e += c * float(rows @ np.multiply(q, d, out=q) @ cols)
-    return e, f
+    n = x.shape[-1]
+    cum = np.concatenate(([0.0], np.cumsum(m)))
+    signs = cum[:-1] + cum[1:] - cum[-1]
+    e = np.empty(x.shape[:-1]) if energy else None
+    f = np.empty(x.shape) if force else None
+    # one row is one chunk, indexed by ``...``
+    for rows in _row_chunks(*x.shape) if x.ndim == 2 else [...]:
+        xr = x[rows]
+        xc = xr - np.vecdot(xr, m, keepdims=True)
+        if energy:
+            e[rows] = W.eta * np.vecdot(m * xc, signs)
+            e[rows] += 0.5 * beta * np.vecdot(m, xc**2)
+        if force:
+            f[rows] = W.eta * (signs if cone else _tie_signs(xr, cum)) + beta * xc
+    # the power terms, row by row, on flat views of the outputs
+    es = None if e is None else e.reshape(-1)
+    fs = None if f is None else f.reshape(-1, n)
+    for k, row in enumerate(x.reshape(-1, n) if terms else ()):
+        for lo, hi in _triangle_blocks(n):
+            d = row[lo:hi, None] - row[None, :hi]
+            np.maximum(d, 0.0, out=d)
+            mi, mj = m[lo:hi], m[:hi]
+            for c, p in terms:
+                q = d ** (p - 1.0)
+                if force:
+                    fs[k, lo:hi] += (c * p) * (q @ mj)
+                    fs[k, :hi] -= (c * p) * (mi @ q)
+                if energy:
+                    es[k] += c * float(mi @ np.multiply(q, d, out=q) @ mj)
+    return (float(e) if energy and x.ndim == 1 else e), f
 
 
-def pair_energy(W: Potential, x: np.ndarray, m: np.ndarray) -> float:
+def pair_energy(W: Potential, x: np.ndarray, m: np.ndarray):
     """(1/2) sum_{i,j} m_i m_j W(x_i - x_j) for sorted points ``x`` with
-    weights ``m`` summing to 1.
+    weights ``m`` summing to 1: a float for one row ``x``, and for an array
+    of rows the array of their energies, each bit for bit the row's own.
 
     The cusp is the linear form eta * sum_i m_i x_i s_i in the ordered values
-    (s from ``_cusp_signs``), the quadratic is beta/2 times the variance;
-    both are O(n log n), and a power term with p = 2 joins the quadratic.
-    Only the other power terms are summed pair by pair, once per pair, over
-    the lower triangle in blocks of at most ``PAIR_BLOCK`` elements.
+    (s the mass below point i minus the mass above it), the quadratic is
+    beta/2 times the variance; both are O(n), and a power term with p = 2
+    joins the quadratic.  Only the other power terms are summed pair by pair,
+    once per pair, over the lower triangle in blocks of at most
+    ``PAIR_BLOCK`` elements.
     """
     return _pair_sums(W, x, m, cone=True, energy=True, force=False)[0]
 
 
 def pair_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> np.ndarray:
     """Entry i is sum_j m_j W'(x_i - x_j) for sorted points ``x`` with weights
-    ``m`` summing to 1.
+    ``m`` summing to 1; an array of rows gives one such row per row.
 
     W' is odd with a jump at 0 from the cusp.  With ``cone`` a tied pair takes
     the cusp sign from the index order, which makes ``m * force`` the energy's
@@ -193,7 +219,7 @@ def pair_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> np.nda
     return _pair_sums(W, x, m, cone, energy=False, force=True)[1]
 
 
-def pair_energy_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool) -> tuple[float, np.ndarray]:
+def pair_energy_force(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool):
     """``(pair_energy(W, x, m), pair_force(W, x, m, cone))`` from one pass over
     the pairs: each power is taken once and gives both."""
     return _pair_sums(W, x, m, cone, energy=True, force=True)

@@ -289,3 +289,33 @@ def test_triangle_blocks_tile_rows_within_budget(budget):
 def test_potential_json_round_trip():
     W = Potential(eta=-0.5, beta=1.25, terms=((0.3, 1.5), (0.1, 2.0)))
     assert Potential.from_json_dict(W.to_json_dict()) == W
+
+
+def test_pair_kernel_on_rows_equals_row_by_row_bits():
+    # an array of rows gives each row's energy and forces bit for bit, over
+    # several row chunks (up to 40 rows of up to 300 points)
+    rng = np.random.default_rng(20261019)
+    potentials = (
+        Potential(eta=-0.7, beta=1.3),
+        Potential(eta=1.1, beta=-0.4, terms=((0.6, 2.0),)),
+        Potential(eta=0.5, beta=0.8, terms=((0.3, 1.5), (0.2, 2.0))),
+    )
+    for case in range(120):
+        n = int(rng.integers(1, 301))
+        x = rng.normal(size=(int(rng.integers(1, 41)), n)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if case % 2:
+            # ties: values on a coarse lattice, and a run at the start of each row
+            x = np.round(4.0 * x) / 4.0
+            x[:, : n // 3] = x[:, :1]
+        x = np.sort(x, axis=1)
+        m = np.full(n, 1.0 / n) if case % 3 else rng.uniform(0.5, 1.5, n)
+        m = m / m.sum()
+        # the p = 1.5 term takes the blocked per-row pass: keep those rows short
+        W = potentials[case % 3] if n <= 120 else potentials[case % 2]
+        energies = pair_energy(W, x, m)
+        assert np.array_equal(energies, [pair_energy(W, row, m) for row in x])
+        for cone in (True, False):
+            forces = pair_force(W, x, m, cone=cone)
+            assert np.array_equal(forces, [pair_force(W, row, m, cone=cone) for row in x])
+            e, f = pair_energy_force(W, x, m, cone=cone)
+            assert np.array_equal(e, energies) and np.array_equal(f, forces)

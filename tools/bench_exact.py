@@ -17,8 +17,9 @@ operations are timed:
   ``RUN_ATOMS`` atoms, ``t_end = 1`` and ``tau = 0.01`` (100 steps on 200
   nodes), into a temporary directory.
 
-Each time is the median over ``REPEATS`` rounds of the seconds per call,
-each round as many calls as take at least 0.2 s (``timeit``'s autorange).
+Each tree is measured ``PASSES`` times, the trees in turn.  Each time is
+the least over all passes of ``ROUNDS`` rounds of the seconds per call,
+each round as many calls as take at least 0.2 s (``two_trees.least_time``).
 The sha256 of every structure's ``repr`` and of the run's
 ``trajectory.csv`` and ``summary.csv`` must agree between the trees.
 """
@@ -29,22 +30,15 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import sys
 import tempfile
-import timeit
 
 import two_trees
 
-REPEATS = 5
+PASSES = 4
+ROUNDS = 5
 ATOMS = (100, 200, 400, 800, 1600)
 RUN_ATOMS = 400
-
-
-def _time(fn) -> float:
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    return statistics.median(t / number for t in timer.repeat(REPEATS, number))
 
 
 def _atoms(n: int) -> list[list[float]]:
@@ -68,7 +62,7 @@ def measure() -> dict:
         results["structure"][str(n)] = {
             "pieces": len(structure),
             "sha256": hashlib.sha256(repr(structure).encode()).hexdigest(),
-            "s": _time(lambda: _structure(sol, 0.5)),
+            "s": two_trees.least_time(lambda: _structure(sol, 0.5), ROUNDS),
         }
     config = {
         "potential": {"eta": 1.0},
@@ -89,7 +83,8 @@ def measure() -> dict:
         for name in ("trajectory.csv", "summary.csv"):
             with open(os.path.join(out, name), "rb") as fh:
                 digests[name] = hashlib.sha256(fh.read()).hexdigest()
-        results["run_exact"] = {"atoms": RUN_ATOMS, "steps": 100, "sha256": digests, "s": _time(lambda: cli.main(argv))}
+        seconds = two_trees.least_time(lambda: cli.main(argv), ROUNDS)
+        results["run_exact"] = {"atoms": RUN_ATOMS, "steps": 100, "sha256": digests, "s": seconds}
     return results
 
 
@@ -105,11 +100,12 @@ def report(base: dict, change: dict) -> dict:
     return {
         "command": "python3 tools/bench_exact.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "timing": f"median of {REPEATS} rounds of seconds per call (timeit autorange), each tree in its own interpreter",
+        "timing": f"least of {PASSES} x {ROUNDS} rounds of seconds per call (timeit autorange), in {PASSES} "
+        "interpreters per tree, the trees in turn",
         "results": {"base": base, "change": change},
         "speedup": summary,
     }
 
 
 if __name__ == "__main__":
-    sys.exit(two_trees.main(__file__, __doc__, measure, report))
+    sys.exit(two_trees.main(__file__, __doc__, measure, report, PASSES))

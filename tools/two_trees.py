@@ -1,12 +1,15 @@
 """The command line shared by the benchmark tools that compare two trees.
 
-A tool calls ``main(script, doc, measure, report)``.  Run with ``--base
-BASE``, it runs ``script --measure`` in its own interpreter for each tree,
-first BASE and then this checkout, each importing ``wgflow`` from that
-tree's ``src``; ``report(base, change)`` gets the two parsed results, refuses
-a mismatch with ``SystemExit`` and returns the JSON object printed on stdout.
-Run with ``--measure``, the script prints ``measure()`` of the ``wgflow`` on
-``sys.path`` as JSON.
+A tool calls ``main(script, doc, measure, report, passes)``.  Run with
+``--base BASE``, it runs ``script --measure`` in its own interpreter for each
+tree, first BASE and then this checkout, each importing ``wgflow`` from that
+tree's ``src``, and does so ``passes`` times in turn.  Each tree's passes
+merge into one result (``_merge``): the least of each time, every other
+value the same in every pass.  ``report(base, change)`` gets the two merged
+results, refuses a mismatch with ``SystemExit`` and returns the JSON object
+printed on stdout.  Run with ``--measure``, the script prints ``measure()``
+of the ``wgflow`` on ``sys.path`` as JSON.  ``least_time`` is the per-call
+timing of ``bench_exact.py`` and ``bench_trajectory.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,19 @@ import json
 import os
 import subprocess
 import sys
+import timeit
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def least_time(fn, rounds: int) -> float:
+    """Seconds per call of ``fn``: the least over ``rounds`` rounds, each of
+    as many calls as take at least 0.2 s (``timeit``'s autorange).  On a
+    shared host a round can only be slowed, so the least is the steadiest
+    reading."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(t / number for t in timer.repeat(rounds, number))
 
 
 def _child(script: str, root: str) -> dict:
@@ -28,7 +42,21 @@ def _child(script: str, root: str) -> dict:
     return json.loads(out.stdout)
 
 
-def main(script: str, doc: str, measure, report) -> int:
+def _merge(passes: list, key: str = ""):
+    """One result from a tree's passes: a number under a key ``s`` or ending
+    in ``_s`` is a time, and the least is kept; any other value must be the
+    same in every pass."""
+    first = passes[0]
+    if isinstance(first, dict):
+        return {k: _merge([p[k] for p in passes], k) for k in first}
+    if key == "s" or key.endswith("_s"):
+        return min(passes)
+    if any(p != first for p in passes):
+        raise SystemExit(f"{key} differs between passes of one tree")
+    return first
+
+
+def main(script: str, doc: str, measure, report, passes: int = 1) -> int:
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--base", help="checkout of the commit to compare against")
     parser.add_argument("--measure", action="store_true", help="measure the wgflow on sys.path and print JSON")
@@ -38,7 +66,12 @@ def main(script: str, doc: str, measure, report) -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
-    base = _child(script, args.base)
-    json.dump(report(base, _child(script, ROOT)), sys.stdout, indent=1)
+    runs: dict[str, list] = {args.base: [], ROOT: []}
+    for _ in range(passes):
+        # alternating the trees spreads a slow spell of the host over both
+        for root, results in runs.items():
+            results.append(_child(script, root))
+    base, change = (_merge(results) for results in runs.values())
+    json.dump(report(base, change), sys.stdout, indent=1)
     print()
     return 0

@@ -11,7 +11,8 @@ such as a whole trajectory.  The cusp and quadratic terms are closed form,
 and a power term with p = 2 joins the quadratic.  Every other power term is
 summed once per pair over the lower triangle of the sorted points, in row
 blocks of at most ``PAIR_BLOCK`` elements, where the gaps ``x_i - x_j`` are
-nonnegative; no n x n array is held.
+nonnegative; no n x n array is held, and the blocks of one call share one
+workspace (``_gap_blocks``).
 """
 
 from __future__ import annotations
@@ -108,6 +109,37 @@ def _triangle_blocks(n: int):
         lo = hi
 
 
+def _gap_blocks(x: np.ndarray):
+    """Yield ``(k, lo, hi, d, q)`` for each row ``k`` of sorted points ``x``
+    (one row, or an array of rows) and each block ``lo:hi`` of
+    ``_triangle_blocks``: ``d[a, j] = max(x_k[lo + a] - x_k[j], 0)`` holds the
+    block's gaps, 0 above the diagonal and on ties, and ``q``, of the same
+    shape, is free for their powers.  Both are views of one ``(2, size)``
+    workspace, ``size`` the largest block's, taken once per call and shared
+    by every block and row."""
+    n = x.shape[-1]
+    blocks = list(_triangle_blocks(n))
+    work = np.empty((2, max(((hi - lo) * hi for lo, hi in blocks), default=0)))
+    for k, row in enumerate(x.reshape(-1, n)):
+        for lo, hi in blocks:
+            d, q = (w[: (hi - lo) * hi].reshape(hi - lo, hi) for w in work)
+            np.subtract(row[lo:hi, None], row[None, :hi], out=d)
+            np.maximum(d, 0.0, out=d)
+            yield k, lo, hi, d, q
+
+
+def _power(d: np.ndarray, e: float, out: np.ndarray):
+    """``d ** e`` written into ``out``, bit for bit: numpy's ``**`` takes
+    ``np.sqrt`` for e = 0.5 and ``np.square`` for e = 2, ``np.power``
+    otherwise."""
+    if e == 0.5:
+        np.sqrt(d, out=out)
+    elif e == 2.0:
+        np.square(d, out=out)
+    else:
+        np.power(d, e, out=out)
+
+
 def _split(W: Potential) -> tuple[float, tuple[tuple[float, float], ...]]:
     """W's quadratic coefficient with each p = 2 term folded in, since
     ``c|x|^2`` is ``(2c/2) x^2``, and W's other power terms."""
@@ -174,18 +206,15 @@ def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: b
     # the power terms, row by row, on flat views of the outputs
     es = None if e is None else e.reshape(-1)
     fs = None if f is None else f.reshape(-1, n)
-    for k, row in enumerate(x.reshape(-1, n) if terms else ()):
-        for lo, hi in _triangle_blocks(n):
-            d = row[lo:hi, None] - row[None, :hi]
-            np.maximum(d, 0.0, out=d)
-            mi, mj = m[lo:hi], m[:hi]
-            for c, p in terms:
-                q = d ** (p - 1.0)
-                if force:
-                    fs[k, lo:hi] += (c * p) * (q @ mj)
-                    fs[k, :hi] -= (c * p) * (mi @ q)
-                if energy:
-                    es[k] += c * float(mi @ np.multiply(q, d, out=q) @ mj)
+    for k, lo, hi, d, q in _gap_blocks(x) if terms else ():
+        mi, mj = m[lo:hi], m[:hi]
+        for c, p in terms:
+            _power(d, p - 1.0, q)
+            if force:
+                fs[k, lo:hi] += (c * p) * (q @ mj)
+                fs[k, :hi] -= (c * p) * (mi @ q)
+            if energy:
+                es[k] += c * float(mi @ np.multiply(q, d, out=q) @ mj)
     return (float(e) if energy and x.ndim == 1 else e), f
 
 
@@ -236,9 +265,10 @@ def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> n
     pair weight ``c p (p-1) q / d`` with ``q = d**(p - 1)`` enters rows i and
     j alike.  A tied pair (``d = 0``) gets weight 0: that is ``W''(0)`` for
     p > 2, and for p < 2, where ``W''(0)`` is infinite, it is never formed.
-    A pair closer than the smallest normal float counts as tied: there
-    ``q / d`` can pass the float range.
-    Memory stays within one block: the Hessian is never held.
+    A pair closer than the smallest normal float is not divided, since
+    ``q / d`` can pass the float range there: it keeps the weight
+    ``c p (p-1) q``, which is 0 only on a tie.
+    Memory stays within one block's workspace: the Hessian is never held.
     """
     beta, terms = _split(W)
     h = beta * (v - m @ v)
@@ -246,12 +276,10 @@ def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> n
         return h
     # rows (m, m v): a block's product with them gives both sums of a row
     mv = np.stack((m, m * v))
-    for lo, hi in _triangle_blocks(x.size):
-        d = x[lo:hi, None] - x[None, :hi]
-        np.maximum(d, 0.0, out=d)
+    for _, lo, hi, d, w in _gap_blocks(x):
         apart = d >= np.finfo(float).tiny
         for c, p in terms:
-            w = d ** (p - 1.0)
+            _power(d, p - 1.0, w)
             np.divide(w, d, out=w, where=apart)
             k = c * p * (p - 1.0)
             right = k * (w @ mv[:, :hi].T)

@@ -30,7 +30,7 @@ from wgflow import (
     weak_residual,
 )
 from oracles import lattice_isotonic
-from wgflow.potential import curvature_bound, evaluate
+from wgflow.potential import curvature_bound, evaluate, pair_energy
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)
@@ -566,3 +566,16 @@ def test_flow_trajectory_freezes_its_grids():
     strided = FlowTrajectory(times, np.asfortranarray(grids), energies, step_costs)
     assert strided.grids.flags.c_contiguous and not strided.grids.flags.writeable
     assert np.array_equal(strided.grids, grids)
+
+
+@pytest.mark.parametrize(
+    "W",
+    [REPULSIVE, Potential(eta=-1.0, beta=1.0), Potential(eta=-1.0, terms=((0.5, 1.5),))],
+    ids=["cusp", "cusp_quadratic", "cusp_power"],
+)
+def test_run_flow_energies_are_the_pair_energies_of_its_grids(W):
+    # bit for bit: a step that hands its energy on must hand on this one
+    init = Measure1D(atoms=((-0.5, 0.25), (0.25, 0.5), (0.5, 0.25)))
+    traj = run_flow(W, init, JkoConfig(tau=0.01, n=24, t_end=0.1))
+    m = np.full(24, 1.0 / 24)
+    assert np.array_equal(traj.energies, pair_energy(W, traj.grids, m))

@@ -23,7 +23,13 @@ from wgflow import (
     velocity_field,
     velocity_profile,
 )
-from oracles import central_difference, dense_pair_hessian, dense_pair_sums
+from oracles import (
+    blocked_power_hessian,
+    blocked_power_sums,
+    central_difference,
+    dense_pair_hessian,
+    dense_pair_sums,
+)
 from wgflow.potential import PAIR_BLOCK, _triangle_blocks, pair_energy, pair_energy_force, pair_force, pair_hessian
 
 CUSP_REPULSIVE = Potential(eta=-1.0)
@@ -319,3 +325,48 @@ def test_pair_kernel_on_rows_equals_row_by_row_bits():
             assert np.array_equal(forces, [pair_force(W, row, m, cone=cone) for row in x])
             e, f = pair_energy_force(W, x, m, cone=cone)
             assert np.array_equal(e, energies) and np.array_equal(f, forces)
+
+
+@pytest.mark.parametrize("budget", [7, 64, 1000, PAIR_BLOCK])
+def test_power_kernels_share_a_workspace_without_stale_data(budget):
+    # calls at interleaved sizes, exponents and row counts, each with blocks
+    # of several sizes, against fresh arrays per block; p = 1.5 and p = 3 take
+    # numpy's square-root and square paths for d ** (p - 1)
+    rng = np.random.default_rng(20261020)
+    exponents = (1.5, 3.0, 1.25, 1.1398, 2.5)
+    with mock.patch.object(wgflow.potential, "PAIR_BLOCK", budget):
+        for case in range(60):
+            n = int(rng.integers(1, 90 if budget < 1000 else 500))
+            rows = int(rng.integers(1, 4))
+            x = np.sort(rng.normal(size=(rows, n)), axis=1)
+            if case % 3 == 0:
+                x = np.sort(np.round(2.0 * x) / 2.0, axis=1)  # ties
+            m = np.full(n, 1.0 / n) if case % 2 else rng.uniform(0.5, 1.5, n)
+            m = m / m.sum()
+            v = rng.normal(size=n)
+            terms = ((float(rng.uniform(0.2, 2.0)), exponents[case % 5]),)
+            if case % 4 == 1:
+                terms += ((0.5, exponents[(case + 1) % 5]),)
+            W = Potential(terms=terms)
+            blocks = list(_triangle_blocks(n))
+            refs = [blocked_power_sums(terms, row, m, blocks) for row in x]
+            e, f = pair_energy_force(W, x, m, cone=True)
+            assert np.array_equal(e, [r[0] for r in refs])
+            assert np.array_equal(f, [r[1] for r in refs])
+            assert np.array_equal(pair_energy(W, x, m), e)
+            assert np.array_equal(pair_force(W, x[0], m, cone=False), refs[0][1])
+            assert pair_energy(W, x[-1], m) == refs[-1][0]
+            assert np.array_equal(pair_hessian(W, x[0], m, v), blocked_power_hessian(terms, x[0], m, v, blocks))
+
+
+def test_hessian_weight_of_a_subnormal_gap_is_not_zero():
+    # a gap below the smallest normal float is not divided by: it keeps the
+    # weight c p (p-1) d**(p-1) of the undivided power, where a tie gives 0
+    W = Potential(terms=((1.0, 1.5),))
+    m = np.array([0.5, 0.5])
+    v = np.array([1.0, -1.0])
+    weight = 0.75 * np.sqrt(5e-324)
+    h = pair_hessian(W, np.array([0.0, 5e-324]), m, v)
+    assert np.allclose(h, [weight, -weight], rtol=1e-15, atol=0.0)
+    assert 1e-162 < h[0] < 1e-161
+    assert np.array_equal(pair_hessian(W, np.array([0.0, 0.0]), m, v), [0.0, 0.0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jko import FlowTrajectory
-from .measures import DomainError, Measure1D, QuantileGrid, _row_chunks, eval_pieces, midpoint_nodes, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, midpoint_nodes, quantile_pieces
 from .potential import Potential, pair_force
 from .transport import _row_w2
 
@@ -331,26 +331,29 @@ def weak_residual(traj: FlowTrajectory, W: Potential, test_fns: list[SpaceTimeBu
     the quantile-grid expectation in space, where ``v`` is the tie-excluding
     pairwise velocity of the midpoint grid.  Midpoint grids, their
     velocities (one ``pair_force`` call) and each bump's space factor are
-    formed for a block of rows of ``traj.grids`` at a time; the per-step
-    weights are summed in step order.
+    formed for a block of rows (``FlowTrajectory.row_blocks``) at a time; the
+    per-step weights are summed in step order.
     """
-    times, grids, n = traj.times, traj.grids, traj.grid_size
+    times, n = traj.times, traj.grid_size
     t_mid = 0.5 * (times[:-1] + times[1:])
     dt = np.diff(times)
     m = np.full(n, 1.0 / n)
     time_factors = [SpaceTimeBump._factor(t_mid, phi.t_center, phi.t_radius) for phi in test_fns]
     # column 0 holds the 0.0 each sum starts from
     weights = np.zeros((len(test_fns), times.size))
-    for rows in _row_chunks(dt.size, n):
-        gm = 0.5 * (grids[:-1][rows] + grids[1:][rows])
+    for _, rows, block in traj.row_blocks():
+        if rows.stop == rows.start:
+            continue
+        gm = 0.5 * (block[:-1] + block[1:])
         v = -pair_force(W, gm, m, cone=False)
         for w, phi, (h, dh) in zip(weights, test_fns, time_factors):
             g, dg = SpaceTimeBump._factor(gm, phi.x_center, phi.x_radius)
             integrand = g * dh[rows, None] + v * (dg * h[rows, None])
             w[1:][rows] = dt[rows] * np.mean(integrand, axis=1)
+    first = traj.rows(0, 1)[0]
     worst = 0.0
     for phi, acc in zip(test_fns, np.cumsum(weights, axis=1)[:, -1]):
-        g0, _ = SpaceTimeBump._factor(grids[0], phi.x_center, phi.x_radius)
+        g0, _ = SpaceTimeBump._factor(first, phi.x_center, phi.x_radius)
         h0, _ = SpaceTimeBump._factor(times[0], phi.t_center, phi.t_radius)
         worst = max(worst, abs(acc + float(np.mean(g0 * h0))))
     return worst
@@ -360,4 +363,7 @@ def metric_derivative_estimate(traj: FlowTrajectory) -> np.ndarray:
     """Per-step speed W2(X_k, X_{k+1}) / (t_{k+1} - t_k)."""
     if traj.times.size < 2:
         raise DomainError("metric derivative needs at least two states")
-    return _row_w2(traj.grids[:-1], traj.grids[1:]) / np.diff(traj.times)
+    speeds = np.empty(traj.times.size - 1)
+    for _, steps, block in traj.row_blocks():
+        speeds[steps] = _row_w2(block[:-1], block[1:])
+    return speeds / np.diff(traj.times)

@@ -319,8 +319,10 @@ def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
             np.max(evi_residual(cfg.potential, traj, sigma))
         )
     if cfg.diagnostics.get("weak_residual", False):
-        lo = float(traj.grids.min())
-        hi = float(traj.grids.max())
+        # a block at a time: a particle trajectory builds its rows when read
+        lo, hi = math.inf, -math.inf
+        for _, _, block in traj.row_blocks():
+            lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
         pad = 0.1 * max(hi - lo, 1.0)
         t1 = float(traj.times[-1])
         bumps = default_bump_library((lo - pad, hi + pad), (0.05 * t1, 0.95 * t1))

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, Measure1D, QuantileGrid, _check_grids, _equal_runs, to_quantile_grid
+from .measures import (
+    DomainError,
+    Measure1D,
+    QuantileGrid,
+    _check_grids,
+    _equal_runs,
+    _row_chunks,
+    to_quantile_grid,
+)
 from .potential import (
     ConvexityCertificate,
     Potential,
@@ -118,50 +126,114 @@ def _squares(w: np.ndarray) -> np.ndarray:
     return np.array([x**2 for x in w.tolist()])
 
 
-@dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """Time-indexed grid states with per-step diagnostics.
 
-    ``grids`` is a read-only ``(K+1, n)`` array whose row k is the quantile
-    grid at ``times[k]``; ``state(k)`` wraps one row as a ``QuantileGrid``.
-    ``energies[k]`` is the interaction energy of row k and ``step_costs[k]``
-    the squared step distance over twice the step length,
-    ``W2^2(grids[k], grids[k+1]) / (2 (times[k+1]-times[k]))``.  An array
-    handed in as C-contiguous float64 is frozen, not copied.
+    Row k is the quantile grid at ``times[k]``.  ``rows(lo, hi)`` reads rows
+    ``lo..hi-1`` as a C-contiguous ``(hi - lo, n)`` float64 array and
+    ``state(k)`` one row as a ``QuantileGrid``; every pass over the states
+    reads them a block of rows at a time (``row_blocks``).  ``energies[k]`` is
+    the interaction energy of row k and ``step_costs[k]`` the squared step
+    distance over twice the step length,
+    ``W2^2(row k, row k+1) / (2 (times[k+1]-times[k]))``.
+
+    ``FlowTrajectory(times, grids, energies, step_costs)`` holds its states
+    as one read-only ``(K+1, n)`` array ``grids``: an array handed in as
+    C-contiguous float64 is frozen, not copied, and ``rows`` returns views of
+    it.  A trajectory that ``_trajectory`` makes from a row reader (as
+    ``particles.quantile_trajectory`` does) holds no such array: ``rows``
+    builds each block when it is read, and so does ``grids``, the whole
+    ``(K+1, n)`` array, each time it is read.
     """
 
-    times: np.ndarray
-    grids: np.ndarray
-    energies: np.ndarray
-    step_costs: np.ndarray
-
-    def __post_init__(self):
-        g = np.ascontiguousarray(self.grids, dtype=float)
-        t, e, c = (np.array(a, dtype=float) for a in (self.times, self.energies, self.step_costs))
+    def __init__(self, times, grids, energies, step_costs):
+        g = np.ascontiguousarray(grids, dtype=float)
         _check_grids(g)
-        if not (g.shape[0] == t.size == e.size == c.size + 1):
+        self._hold(times, g.shape, energies, step_costs, g, None)
+        g.flags.writeable = False
+
+    @classmethod
+    def _from_reader(cls, times, read, n: int, energies, step_costs) -> FlowTrajectory:
+        """The trajectory whose rows ``lo..hi-1`` are ``read(lo, hi)``."""
+        traj = cls.__new__(cls)
+        traj._hold(times, (np.size(times), n), energies, step_costs, None, read)
+        return traj
+
+    def _hold(self, times, shape, energies, step_costs, grids, read):
+        t, e, c = (np.array(a, dtype=float) for a in (times, energies, step_costs))
+        if not (shape[0] == t.size == e.size == c.size + 1):
             raise DomainError("trajectory arrays have inconsistent lengths")
-        for name, arr in (("times", t), ("grids", g), ("energies", e), ("step_costs", c)):
+        for arr in (t, e, c):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        # past ``__setattr__``, which refuses every assignment
+        vars(self).update(times=t, energies=e, step_costs=c, grid_size=shape[1], _grids=grids, _read=read)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FlowTrajectory is read-only: cannot set {name}")
 
     @property
-    def grid_size(self) -> int:
-        return self.grids.shape[1]
+    def grids(self) -> np.ndarray:
+        """The read-only ``(K+1, n)`` array of all rows."""
+        if self._read is None:
+            return self._grids
+        g = self._read(0, self.times.size)
+        g.flags.writeable = False
+        return g
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo..hi-1``, for ``0 <= lo <= hi <= K+1``."""
+        return self._grids[lo:hi] if self._read is None else self._read(lo, hi)
+
+    def row_blocks(self):
+        """``_row_blocks`` of this trajectory's rows."""
+        return _row_blocks(self.rows, self.times.size, self.grid_size)
 
     def state(self, k: int) -> QuantileGrid:
-        """Row ``k`` of ``grids`` as a ``QuantileGrid``."""
-        return QuantileGrid(self.grids[k])
+        """Row ``k`` as a ``QuantileGrid``."""
+        k = range(self.times.size)[k]
+        return QuantileGrid(self.rows(k, k + 1)[0])
 
 
-def _trajectory(W: Potential, times: np.ndarray, grids: np.ndarray) -> FlowTrajectory:
-    """FlowTrajectory of finished grids: their energies, and step costs
-    ``W2^2 / (2 span)`` that are 0 over a span of length 0."""
+def _row_blocks(read, count: int, n: int):
+    """``(states, steps, block)`` for each chunk ``states`` of the ``count``
+    rows of length ``n`` (``measures._row_chunks``): ``block`` is
+    ``read(lo, hi + 1)``, the chunk's rows and the next one if there is one,
+    and its consecutive rows make the ``steps``."""
+    for rows in _row_chunks(count, n):
+        lo, hi = rows.start, min(rows.stop, count)
+        block = read(lo, min(hi + 1, count))
+        yield slice(lo, hi), slice(lo, lo + block.shape[0] - 1), block
+
+
+def _trajectory(W: Potential, times: np.ndarray, grids, n: int | None = None) -> FlowTrajectory:
+    """FlowTrajectory of finished states: their energies, and step costs
+    ``W2^2 / (2 span)`` that are 0 over a span of length 0, taken a block of
+    rows at a time (``_row_blocks``), each row's bit for bit the row's own.
+
+    The states are the ``(K+1, n)`` array ``grids``, checked when the
+    trajectory is made, or, with ``n`` given, the rows ``grids(lo, hi)``
+    reads, each block checked as it is read.
+    """
+    times = np.asarray(times, dtype=float)
+    dense = n is None
+    if dense:
+        grids = np.ascontiguousarray(grids, dtype=float)
+        n = grids.shape[-1]
+    read = (lambda lo, hi: grids[lo:hi]) if dense else grids
+    m = np.full(n, 1.0 / n)
+    energies = np.empty(times.size)
+    squares = np.empty(max(times.size - 1, 0))
+    for states, steps, block in _row_blocks(read, times.size, n):
+        chunk = block[: states.stop - states.start]
+        if not dense:
+            _check_grids(chunk)
+        energies[states] = pair_energy(W, chunk, m)
+        squares[steps] = _squares(_row_w2(block[:-1], block[1:]))
     spans = np.diff(times)
-    squares = _squares(_row_w2(grids[:-1], grids[1:]))
     costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
-    energies = pair_energy(W, grids, np.full(grids.shape[1], 1.0 / grids.shape[1]))
-    return FlowTrajectory(times, grids, energies, costs)
+    if dense:
+        return FlowTrajectory(times, grids, energies, costs)
+    return FlowTrajectory._from_reader(times, read, n, energies, costs)
 
 
 def _pava(y: np.ndarray) -> np.ndarray:
@@ -351,7 +423,9 @@ def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.
     if sigma.n != traj.grid_size:
         raise DomainError("reference grid size does not match the trajectory")
     e_sigma = interaction_energy(W, sigma)
-    dists = _squares(_row_w2(traj.grids, sigma.values))
+    dists = np.empty(traj.times.size)
+    for states, _, block in traj.row_blocks():
+        dists[states] = _squares(_row_w2(block[: states.stop - states.start], sigma.values))
     taus = np.diff(traj.times)
     return (
         np.diff(dists) / (2.0 * taus)

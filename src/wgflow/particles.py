@@ -276,8 +276,11 @@ def quantile_trajectory(W: Potential, history, n: int) -> FlowTrajectory:
     ``ParticleHistory`` or a sequence of states): a node reads, by
     ``piece_index``, the position of the first particle whose cumulative
     mass exceeds it (``+ 0.0`` reads -0.0 as 0.0, as a flat piece does).
-    The lookup is made once per segment of equal masses and read off every
-    row of its positions.
+
+    The grids are not stored: the trajectory's rows are read off the history
+    a block at a time, records ``lo..hi-1`` gathered across the segments of
+    equal masses through each segment's lookup, made once.  So no
+    ``(records, n)`` array is formed unless ``grids`` is read.
     Rows equal ``to_quantile_grid`` of each state's measure bit for bit
     unless particles coincide: ``quantile_pieces`` sums their masses first,
     so the cluster's end can differ by one ulp and a node exactly between
@@ -287,9 +290,21 @@ def quantile_trajectory(W: Potential, history, n: int) -> FlowTrajectory:
     if not isinstance(history, ParticleHistory):
         history = ParticleHistory.from_states(history)
     nodes = midpoint_nodes(n)
-    grids = np.empty((len(history), n))
-    for (m, x), lo, hi in zip(history.segments, history._starts, history._starts[1:]):
-        # "clip" writes straight into ``out``; the indices are in range anyway
-        np.take(x, piece_index(np.cumsum(m), nodes), axis=1, out=grids[lo:hi], mode="clip")
-    grids += 0.0
-    return _trajectory(W, history.times, grids)
+    starts = history._starts
+    # the particle each node reads, per segment
+    picks = [piece_index(np.cumsum(m), nodes) for m, _ in history.segments]
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        out = np.empty((hi - lo, n))
+        seg = int(np.searchsorted(starts, lo, side="right")) - 1
+        at = lo
+        while at < hi:
+            end = min(hi, int(starts[seg + 1]))
+            x = history.segments[seg][1][at - starts[seg] : end - starts[seg]]
+            # "clip" writes straight into ``out``; the indices are in range anyway
+            np.take(x, picks[seg], axis=1, out=out[at - lo : end - lo], mode="clip")
+            at, seg = end, seg + 1
+        out += 0.0
+        return out
+
+    return _trajectory(W, history.times, rows, n)

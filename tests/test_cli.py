@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,17 @@ GOLDEN_RUNS = {
         "n": 16,
         "diagnostics": GOLDEN_DIAGNOSTICS,
     },
+    # 303 records in three segments of masses (merges at records 134 and
+    # 168) and row blocks of 40 records: blocks end inside segments
+    "particles_blocks": {
+        "potential": {"eta": 1.0},
+        "initial": {"atoms": [[-1.0, 0.25], [0.0, 0.25], [1.0, 0.5]]},
+        "method": "particles",
+        "dt": 0.01,
+        "t_end": 3.0,
+        "n": 100,
+        "diagnostics": GOLDEN_DIAGNOSTICS,
+    },
     "exact": {
         "potential": {"eta": 1.0},
         "initial": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
@@ -586,6 +598,11 @@ GOLDEN_SHA256 = {
         "5fa740ad1fad72592547f1d1775c9f5b862599438a7201ad7bafbae6b84fbb73",
         "0ab0db5fded3710064eddc80a8484c03d3c9f3b6c71ad871b6844ea257c969f3",
     ),
+    "particles_blocks": (
+        "6b1e8a4f6c855fcb4ad37e6dbe054e3a6118ee6820e3def71dbc485342a4ffe8",
+        "f35f406e71041ccb7f3a7213f88d538bb38e0dd0046f2f3359d22bfa274db5dd",
+        "280f673fef98dda896734945564f68d8cd36cf13a1cafe3b0ddfe4ff8b130775",
+    ),
     "exact": (
         "ff5b80dab42439d08d4546ede8b92556957a7343884bcb4d7c099d1f7e599a4a",
         "3b903395c362c013199805d89ddbaf7e06409a003c106a355ebddea248bb4fa0",
@@ -604,3 +621,52 @@ def test_run_outputs_are_golden(tmp_path, method):
         for name in ("trajectory.csv", "summary.csv", "diagnostics.json")
     )
     assert digests == GOLDEN_SHA256[method]
+
+
+# five particles, 20,001 records at dt = 1e-4 on 400 nodes: the quantile
+# grids as one (records, n) array would take 64 MB
+MEMORY_RUN = {
+    "potential": {"eta": 1.0},
+    "initial": {"atoms": [[-2.7, 0.2], [-1.0, 0.2], [0.0, 0.2], [1.0, 0.2], [2.7, 0.2]]},
+    "method": "particles",
+    "dt": 1e-4,
+    "t_end": 2.0,
+    "n": 400,
+    "diagnostics": GOLDEN_DIAGNOSTICS,
+}
+MEMORY_BOUND_MB = 8.0
+
+
+def test_particle_run_memory_stays_far_below_its_grids(tmp_path):
+    from wgflow import cli
+    from wgflow.particles import ParticleState, integrate, quantile_trajectory
+
+    cfg = cli.ExperimentConfig.from_json_dict(MEMORY_RUN)
+    atoms = cfg.initial.atoms
+    history = integrate(cfg.potential, ParticleState([x for x, _ in atoms], [m for _, m in atoms]), cfg.t_end, cfg.dt)
+    assert len(history) > 20_000
+    tracemalloc.start()
+    try:
+        traj = quantile_trajectory(cfg.potential, history, cfg.n)
+        cli._write_summary(str(tmp_path / "summary.csv"), traj)
+        diagnostics = cli._run_diagnostics(cfg, traj)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert sorted(diagnostics) == ["energy_identity_residual", "evi_max_residual", "weak_residual"]
+    assert peak < MEMORY_BOUND_MB
+
+
+def test_particle_run_never_forms_its_grids(tmp_path, monkeypatch):
+    from wgflow.jko import FlowTrajectory
+
+    reads = []
+    grids = FlowTrajectory.grids
+    monkeypatch.setattr(FlowTrajectory, "grids", property(lambda traj: reads.append(traj) or grids.fget(traj)))
+    config_path = _write(tmp_path / "config.json", GOLDEN_RUNS["particles_blocks"])
+    assert main(["run", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert reads == []
+    # a run that writes its grids does read them through the patched property
+    config_path = _write(tmp_path / "config.json", GOLDEN_RUNS["exact"])
+    assert main(["run", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(reads) == 1

@@ -22,8 +22,12 @@ from wgflow import (
     w2_quantile,
 )
 from wgflow import particles
+from wgflow.analytic import default_bump_library, metric_derivative_estimate, weak_residual
+from wgflow.jko import _trajectory, evi_residual
 from wgflow.particles import ParticleHistory
 from wgflow.particles import interaction_energy as particle_energy
+from wgflow.potential import pair_energy
+from wgflow.transport import _row_w2
 
 from oracles import reference_integrate
 
@@ -293,6 +297,48 @@ def test_quantile_trajectory_of_integrated_histories(state, eta, n):
     # attraction merges colliding particles; repulsion keeps coincident ones
     # together
     _assert_rows_are_measure_grids(integrate(Potential(eta=eta), state, 2.0, 0.05), n)
+
+
+def _assert_reader_matches_dense(W, history, n):
+    """The trajectory that reads its rows off ``history`` a block at a time
+    gives, bit for bit, what the same grids held as one array give, and what
+    whole-array passes over them give."""
+    traj = quantile_trajectory(W, history, n)
+    grids = traj.grids
+    dense = _trajectory(W, history.times, grids)
+    m = np.full(n, 1.0 / n)
+    assert np.array_equal(traj.energies, dense.energies)
+    assert np.array_equal(traj.energies, pair_energy(W, grids, m))
+    assert np.array_equal(traj.step_costs, dense.step_costs)
+    for k in (0, len(history) - 1):
+        assert traj.state(k) == dense.state(k)
+    sigma = to_quantile_grid(Measure1D.uniform(-2.0, 2.0), n)
+    assert np.array_equal(evi_residual(W, traj, sigma), evi_residual(W, dense, sigma))
+    bumps = default_bump_library((-5.0, 5.0), (0.1, 1.9))
+    assert float(weak_residual(traj, W, bumps)).hex() == float(weak_residual(dense, W, bumps)).hex()
+    if len(history) > 1:
+        speeds = metric_derivative_estimate(traj)
+        assert np.array_equal(speeds, metric_derivative_estimate(dense))
+        assert np.array_equal(speeds, _row_w2(grids[:-1], grids[1:]) / np.diff(history.times))
+
+
+# 1 and 7 nodes fit all records in one row block, 64 and 300 make blocks that
+# end inside segments, and a row of 4097 is longer than a block by itself
+_READER_SIZES = st.sampled_from([1, 7, 64, 300, 4097])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATES, st.sampled_from([-1.0, 1.0]), _READER_SIZES)
+def test_quantile_trajectory_reader_matches_dense_grids(state, eta, n):
+    # attraction merges colliding particles, repulsion keeps coincident ones
+    history = integrate(Potential(eta=eta), state, 2.0, 0.02)
+    _assert_reader_matches_dense(Potential(eta=eta, beta=0.5), history, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_STATES, _READER_SIZES)
+def test_quantile_trajectory_reader_of_one_record(state, n):
+    _assert_reader_matches_dense(ATTRACTIVE, ParticleHistory.from_states([state]), n)
 
 
 def _assert_same_history(got, want):

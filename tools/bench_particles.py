@@ -1,11 +1,15 @@
-"""In-process timings of a particle run: chunked integration against the forward Euler loop.
+"""A particle run's time and memory: chunked integration against the forward
+Euler loop, and the quantile trajectory's peak, in two trees.
 
-Usage, from the root of a checkout::
+Usage, from the root of a checkout, with a second checkout of the commit to
+compare against at BASE::
 
-    python3 tools/bench_particles.py > BENCH_particles.json
+    python3 tools/bench_particles.py --base BASE > BENCH_particles.json
 
-Two configurations run under the attractive unit cusp, their grids at
-``N_GRID`` nodes:
+Each tree is measured in its own interpreter, which imports ``wgflow`` from
+that tree's ``src``: first BASE (``"base"``), then this checkout
+(``"change"``), ``PASSES`` times in turn.  Two configurations run under the
+attractive unit cusp, their grids at ``N_GRID`` nodes:
 
 - ``particles_ot``: the five particles of the ``particles_ot`` benchmark
   workload for seed 1 (drawn as ``perfbench/workloads.py`` draws them),
@@ -13,7 +17,8 @@ Two configurations run under the attractive unit cusp, their grids at
 - ``p64``: 64 particles at sorted uniform draws on [-1, 1] with masses
   uniform on [0.5, 1.5], normalised (seed 7), ``dt = 1e-4`` up to ``t = 2``.
 
-For each, four operations are timed:
+For each, four operations are timed, each the least over all passes of
+``ROUNDS`` rounds of the seconds per call (``two_trees.least_time``):
 
 - ``integrate``: ``particles.integrate``;
 - ``reference_integrate``: ``tests/oracles.reference_integrate``, the forward
@@ -22,45 +27,47 @@ For each, four operations are timed:
 - ``write_trajectory``: ``cli._write_particle_trajectory`` of the history,
   into a temporary directory.
 
-Each time is the median over ``REPEATS`` rounds of the seconds per call,
-each round as many calls as take at least 0.2 s (``timeit``'s autorange).
-The two histories are checked to agree bit for bit, and the ``ode_rhs``
-calls of one run of each integrator are counted.
+``adapter_summary_peak_kib`` is the ``tracemalloc`` peak, in KiB, of
+``quantile_trajectory`` followed by ``cli._write_summary`` of its result,
+from a history already integrated.  The two histories are checked to agree
+bit for bit, and the ``ode_rhs`` calls of one run of each integrator are
+counted.
+
+``wgflow_run``: one ``wgflow run`` process on the ``particles_ot`` workload's
+particle config (seed 1), at ``dt`` 1e-3 and 1e-4, per pass; its
+``max_rss_kib`` is the process's ``ru_maxrss`` as ``perfbench/launch.py``
+reads it.  Every peak is the least over the passes.  The sha256 of each
+run's ``summary.csv`` and of each trajectory's energies and step costs must
+agree between the trees.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
-import statistics
+import subprocess
 import sys
 import tempfile
-import timeit
+import tracemalloc
 
 import numpy as np
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+import two_trees
 
-from oracles import reference_integrate  # noqa: E402
-from wgflow import cli, particles  # noqa: E402
-from wgflow.particles import ParticleState  # noqa: E402
-from wgflow.potential import Potential  # noqa: E402
+sys.path[:0] = [two_trees.ROOT, os.path.join(two_trees.ROOT, "tests")]
 
-REPEATS = 5
+from perfbench.workloads import build  # noqa: E402
+
+PASSES = 3
+ROUNDS = 3
 N_GRID = 200
-CUSP = Potential(eta=1.0)
-
-
-def _time(fn) -> float:
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    return statistics.median(t / number for t in timer.repeat(REPEATS, number))
+RUN_DTS = {"dt_1e-3": 1e-3, "dt_1e-4": 1e-4}
 
 
 def configs() -> dict:
-    """``name: (initial state, t_end, dt)`` of each configuration."""
+    """``name: (positions, masses, t_end, dt)`` of each configuration."""
     rng = np.random.default_rng([1, 3])
     xs = np.array([-2.7, -1.0, 0.0, 1.0, 2.7])
     xs = xs + rng.uniform(-1.0, 1.0) + rng.uniform(-0.2, 0.2, size=5)
@@ -69,12 +76,18 @@ def configs() -> dict:
     x64 = np.sort(rng.uniform(-1.0, 1.0, 64))
     m64 = rng.uniform(0.5, 1.5, 64)
     return {
-        "particles_ot": (ParticleState(xs, ms / ms.sum()), 4.0, 1e-3),
-        "p64": (ParticleState(x64, m64 / m64.sum()), 2.0, 1e-4),
+        "particles_ot": (xs, ms / ms.sum(), 4.0, 1e-3),
+        "p64": (x64, m64 / m64.sum(), 2.0, 1e-4),
     }
 
 
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
 def _rhs_calls(integrator, *args) -> tuple[int, object]:
+    from wgflow import particles
+
     rhs = particles.ode_rhs
     calls = [0]
 
@@ -90,8 +103,14 @@ def _rhs_calls(integrator, *args) -> tuple[int, object]:
     return calls[0], result
 
 
-def bench(state, t_end: float, dt: float, out_dir: str) -> dict:
-    args = (CUSP, state, t_end, dt)
+def _bench(xs, ms, t_end: float, dt: float, out_dir: str) -> dict:
+    from oracles import reference_integrate
+    from wgflow import cli, particles
+    from wgflow.particles import ParticleState
+    from wgflow.potential import Potential
+
+    cusp = Potential(eta=1.0)
+    args = (cusp, ParticleState(xs, ms), t_end, dt)
     calls, history = _rhs_calls(particles.integrate, *args)
     ref_calls, reference = _rhs_calls(reference_integrate, *args)
     if len(history) != len(reference) or any(
@@ -102,33 +121,102 @@ def bench(state, t_end: float, dt: float, out_dir: str) -> dict:
     ):
         raise SystemExit("integrate and reference_integrate disagree")
     path = os.path.join(out_dir, "trajectory.csv")
+    tracemalloc.start()
+    traj = particles.quantile_trajectory(cusp, history, N_GRID)
+    cli._write_summary(os.path.join(out_dir, "summary.csv"), traj)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
-        "particles": state.count,
+        "particles": xs.size,
         "substeps": len(history) - 1,
         "segments": len(history.segments),
         "ode_rhs_calls": calls,
         "reference_ode_rhs_calls": ref_calls,
-        "integrate_s": _time(lambda: particles.integrate(*args)),
-        "reference_integrate_s": _time(lambda: reference_integrate(*args)),
-        "quantile_trajectory_s": _time(lambda: particles.quantile_trajectory(CUSP, history, N_GRID)),
-        "write_trajectory_s": _time(lambda: cli._write_particle_trajectory(path, history)),
+        "energies_sha256": _digest(traj.energies),
+        "step_costs_sha256": _digest(traj.step_costs),
+        "adapter_summary_peak_kib": peak / 1024.0,
+        "integrate_s": two_trees.least_time(lambda: particles.integrate(*args), ROUNDS),
+        "reference_integrate_s": two_trees.least_time(lambda: reference_integrate(*args), ROUNDS),
+        "quantile_trajectory_s": two_trees.least_time(
+            lambda: particles.quantile_trajectory(cusp, history, N_GRID), ROUNDS
+        ),
+        "write_trajectory_s": two_trees.least_time(lambda: cli._write_particle_trajectory(path, history), ROUNDS),
     }
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as out_dir:
-        results = {name: bench(*cfg, out_dir) for name, cfg in configs().items()}
-    for row in results.values():
-        row["integrate_speedup"] = row["reference_integrate_s"] / row["integrate_s"]
-    json.dump({
-        "command": "python3 tools/bench_particles.py",
+def _wgflow_run(config_path: str, out_dir: str) -> dict:
+    """Peak RSS of one ``wgflow run`` process and its summary's sha256.  The
+    process is spawned by ``perfbench/launch.py``, which is small: at
+    ``exec`` Linux carries the spawning process's peak into the child's."""
+    launch = os.path.join(two_trees.ROOT, "perfbench", "launch.py")
+    logs = [out_dir + ext for ext in (".out", ".err")]
+    argv = [sys.executable, "-m", "wgflow.cli", "run", "--config", config_path, "--out", out_dir, "--quiet"]
+    line = subprocess.run(
+        [sys.executable, "-S", launch, *logs, "600", "--", *argv], check=True, capture_output=True, text=True
+    ).stdout
+    _, kib, code = line.split()
+    if code != "0":
+        raise SystemExit(f"wgflow run exited with {code}")
+    with open(os.path.join(out_dir, "summary.csv"), "rb") as fh:
+        summary = hashlib.sha256(fh.read()).hexdigest()
+    return {"max_rss_kib": int(kib), "summary_sha256": summary}
+
+
+def measure() -> dict:
+    """Timings, peaks and digests of the ``wgflow`` on ``sys.path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        results = {name: _bench(*cfg, tmp) for name, cfg in configs().items()}
+        build("particles_ot", 1, tmp)
+        with open(os.path.join(tmp, "particles.json")) as fh:
+            cfg = json.load(fh)
+        runs = {}
+        for name, dt in RUN_DTS.items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(dict(cfg, dt=dt), fh)
+            runs[name] = _wgflow_run(path, os.path.join(tmp, name))
+    results["wgflow_run"] = runs
+    return results
+
+
+def _digests(result: dict, path: str = "") -> dict:
+    """Every value under a key ending in ``sha256``, by its path of keys."""
+    out = {}
+    for key, value in result.items():
+        if isinstance(value, dict):
+            out.update(_digests(value, f"{path}{key}/"))
+        elif key.endswith("sha256"):
+            out[path + key] = value
+    return out
+
+
+def report(base: dict, change: dict) -> dict:
+    """The two trees' results with their speedups and peak ratios; every
+    digest must agree."""
+    want = _digests(base)
+    for key, value in _digests(change).items():
+        if value != want.get(key):
+            raise SystemExit(f"{key} differs between the trees")
+    ratios = {}
+    for name in configs():
+        for key in change[name]:
+            if key.endswith("_s"):
+                ratios[f"{name}_{key[:-2]}_speedup"] = base[name][key] / change[name][key]
+        key = "adapter_summary_peak_kib"
+        ratios[f"{name}_{key[:-4]}_ratio"] = change[name][key] / base[name][key]
+    for name in RUN_DTS:
+        ratios[f"wgflow_run_{name}_max_rss_ratio"] = (
+            change["wgflow_run"][name]["max_rss_kib"] / base["wgflow_run"][name]["max_rss_kib"]
+        )
+    return {
+        "command": "python3 tools/bench_particles.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "timing": f"median of {REPEATS} rounds of seconds per call (timeit autorange)",
-        "results": results,
-    }, sys.stdout, indent=1)
-    print()
-    return 0
+        "timing": f"least of {PASSES} x {ROUNDS} rounds of seconds per call (timeit autorange), in {PASSES} "
+        "interpreters per tree, the trees in turn; peaks the least over the passes",
+        "results": {"base": base, "change": change},
+        "ratios": ratios,
+    }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(two_trees.main(__file__, __doc__, measure, report, PASSES))

@@ -16,7 +16,7 @@ _EXPORTS = {
     "measures": "DomainError Measure1D QuantileGrid cdf expectation from_quantile_grid quantile "
     "quantile_pieces to_quantile_grid",
     "potential": "ConvexityCertificate Potential convexity_certificate deriv_smooth energy_subgradient "
-    "evaluate interaction_energy velocity_field velocity_profile",
+    "evaluate interaction_energy velocity_profile",
     "transport": "DiscreteInstance DualSolution PivotCapReached TransportPlan solve_dual solve_primal "
     "w2_exact_discrete w2_quantile",
     "jko": "ConvergenceFailure FlowTrajectory JkoConfig energy_identity_residual evi_residual "

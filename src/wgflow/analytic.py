@@ -19,7 +19,7 @@ import numpy as np
 from .jko import FlowTrajectory
 from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, midpoint_nodes, quantile_pieces
 from .potential import Potential, pair_force
-from .transport import _row_w2
+from .transport import _row_w2sq
 
 KIND_REPULSIVE = "repulsive_cusp_diffusion"
 KIND_ATTRACTIVE = "attractive_cusp_collapse"
@@ -365,5 +365,5 @@ def metric_derivative_estimate(traj: FlowTrajectory) -> np.ndarray:
         raise DomainError("metric derivative needs at least two states")
     speeds = np.empty(traj.times.size - 1)
     for _, steps, block in traj.row_blocks():
-        speeds[steps] = _row_w2(block[:-1], block[1:])
+        speeds[steps] = np.sqrt(_row_w2sq(block[:-1], block[1:]))
     return speeds / np.diff(traj.times)

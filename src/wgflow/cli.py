@@ -302,7 +302,8 @@ def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
     grids = np.empty((steps + 1, cfg.n))
     for k, t in enumerate(times.tolist()):
         grids[k] = exact_grid(sol, t, cfg.n).values
-    return _trajectory(pot, times, grids)
+    grids.flags.writeable = False
+    return _trajectory(pot, times, lambda lo, hi: grids[lo:hi], cfg.n)
 
 
 def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:

@@ -25,7 +25,6 @@ from .measures import (
     QuantileGrid,
     _check_grids,
     _equal_runs,
-    _row_chunks,
     to_quantile_grid,
 )
 from .potential import (
@@ -38,7 +37,7 @@ from .potential import (
     pair_energy_force,
     pair_hessian,
 )
-from .transport import _row_w2
+from .transport import _row_w2sq
 
 STEP_BOUND_FACTOR = 12.0
 BACKTRACK_HALVINGS = 80
@@ -49,6 +48,9 @@ BACKTRACK_HALVINGS = 80
 CG_RTOL = 1e-3
 # Inner tolerance per grid point; an unset ``inner_tol`` is n times this.
 INNER_TOL_PER_POINT = 1e-10
+# Largest number of grid values in one block of a pass over a trajectory's
+# rows (``_row_blocks``), past the one row that joins it to the next block.
+ROW_CHUNK = 1 << 12
 
 
 class ConvergenceFailure(RuntimeError):
@@ -120,12 +122,6 @@ class JkoConfig:
         return int(k)
 
 
-def _squares(w: np.ndarray) -> np.ndarray:
-    """``w ** 2`` squared as Python floats, as ``w2_quantile(a, b) ** 2`` is:
-    numpy's array square rounds some entries differently."""
-    return np.array([x**2 for x in w.tolist()])
-
-
 class FlowTrajectory:
     """Time-indexed grid states with per-step diagnostics.
 
@@ -137,36 +133,38 @@ class FlowTrajectory:
     distance over twice the step length,
     ``W2^2(row k, row k+1) / (2 (times[k+1]-times[k]))``.
 
-    ``FlowTrajectory(times, grids, energies, step_costs)`` holds its states
-    as one read-only ``(K+1, n)`` array ``grids``: an array handed in as
-    C-contiguous float64 is frozen, not copied, and ``rows`` returns views of
-    it.  A trajectory that ``_trajectory`` makes from a row reader (as
-    ``particles.quantile_trajectory`` does) holds no such array: ``rows``
-    builds each block when it is read, and so does ``grids``, the whole
-    ``(K+1, n)`` array, each time it is read.
+    A trajectory holds its rows as a reader, ``rows``.
+    ``FlowTrajectory(times, grids, energies, step_costs)`` reads them off one
+    ``(K+1, n)`` array, which it freezes: one handed in as C-contiguous
+    float64 is not copied, and ``rows`` returns views of it.  A trajectory
+    that ``_trajectory`` makes reads them from its reader, which may build
+    each block when it is read (as ``particles.quantile_trajectory``'s does);
+    ``grids``, all ``(K+1, n)`` rows, is then built each time it is read.
     """
 
     def __init__(self, times, grids, energies, step_costs):
         g = np.ascontiguousarray(grids, dtype=float)
         _check_grids(g)
-        self._hold(times, g.shape, energies, step_costs, g, None)
+        if g.shape[0] != np.size(times):
+            raise DomainError("trajectory arrays have inconsistent lengths")
+        self._hold(times, lambda lo, hi: g[lo:hi], g.shape[1], energies, step_costs)
         g.flags.writeable = False
 
     @classmethod
     def _from_reader(cls, times, read, n: int, energies, step_costs) -> FlowTrajectory:
         """The trajectory whose rows ``lo..hi-1`` are ``read(lo, hi)``."""
         traj = cls.__new__(cls)
-        traj._hold(times, (np.size(times), n), energies, step_costs, None, read)
+        traj._hold(times, read, n, energies, step_costs)
         return traj
 
-    def _hold(self, times, shape, energies, step_costs, grids, read):
+    def _hold(self, times, read, n: int, energies, step_costs):
         t, e, c = (np.array(a, dtype=float) for a in (times, energies, step_costs))
-        if not (shape[0] == t.size == e.size == c.size + 1):
+        if not (t.size == e.size == c.size + 1):
             raise DomainError("trajectory arrays have inconsistent lengths")
         for arr in (t, e, c):
             arr.flags.writeable = False
         # past ``__setattr__``, which refuses every assignment
-        vars(self).update(times=t, energies=e, step_costs=c, grid_size=shape[1], _grids=grids, _read=read)
+        vars(self).update(times=t, energies=e, step_costs=c, grid_size=n, _read=read)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FlowTrajectory is read-only: cannot set {name}")
@@ -174,15 +172,13 @@ class FlowTrajectory:
     @property
     def grids(self) -> np.ndarray:
         """The read-only ``(K+1, n)`` array of all rows."""
-        if self._read is None:
-            return self._grids
-        g = self._read(0, self.times.size)
+        g = self.rows(0, self.times.size)
         g.flags.writeable = False
         return g
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows ``lo..hi-1``, for ``0 <= lo <= hi <= K+1``."""
-        return self._grids[lo:hi] if self._read is None else self._read(lo, hi)
+        return self._read(lo, hi)
 
     def row_blocks(self):
         """``_row_blocks`` of this trajectory's rows."""
@@ -196,43 +192,35 @@ class FlowTrajectory:
 
 def _row_blocks(read, count: int, n: int):
     """``(states, steps, block)`` for each chunk ``states`` of the ``count``
-    rows of length ``n`` (``measures._row_chunks``): ``block`` is
-    ``read(lo, hi + 1)``, the chunk's rows and the next one if there is one,
-    and its consecutive rows make the ``steps``."""
-    for rows in _row_chunks(count, n):
-        lo, hi = rows.start, min(rows.stop, count)
+    rows of length ``n``, chunks of at most ``ROW_CHUNK`` values or one row
+    when a row alone is longer: ``block`` is ``read(lo, hi + 1)``, the
+    chunk's rows and the next one if there is one, and its consecutive rows
+    make the ``steps``.  This is the one place a pass over a trajectory's
+    rows sets its block size; the kernels take each block whole."""
+    step = max(1, ROW_CHUNK // n)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
         block = read(lo, min(hi + 1, count))
         yield slice(lo, hi), slice(lo, lo + block.shape[0] - 1), block
 
 
-def _trajectory(W: Potential, times: np.ndarray, grids, n: int | None = None) -> FlowTrajectory:
-    """FlowTrajectory of finished states: their energies, and step costs
-    ``W2^2 / (2 span)`` that are 0 over a span of length 0, taken a block of
-    rows at a time (``_row_blocks``), each row's bit for bit the row's own.
-
-    The states are the ``(K+1, n)`` array ``grids``, checked when the
-    trajectory is made, or, with ``n`` given, the rows ``grids(lo, hi)``
-    reads, each block checked as it is read.
-    """
+def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory:
+    """FlowTrajectory of the finished states ``read(lo, hi)`` reads, rows of
+    length ``n``: their energies, and step costs ``W2^2 / (2 span)`` that
+    are 0 over a span of length 0, taken a block of rows at a time
+    (``_row_blocks``), each row's bit for bit the row's own.  Each block is
+    checked as it is read."""
     times = np.asarray(times, dtype=float)
-    dense = n is None
-    if dense:
-        grids = np.ascontiguousarray(grids, dtype=float)
-        n = grids.shape[-1]
-    read = (lambda lo, hi: grids[lo:hi]) if dense else grids
     m = np.full(n, 1.0 / n)
     energies = np.empty(times.size)
     squares = np.empty(max(times.size - 1, 0))
     for states, steps, block in _row_blocks(read, times.size, n):
         chunk = block[: states.stop - states.start]
-        if not dense:
-            _check_grids(chunk)
+        _check_grids(chunk)
         energies[states] = pair_energy(W, chunk, m)
-        squares[steps] = _squares(_row_w2(block[:-1], block[1:]))
+        squares[steps] = _row_w2sq(block[:-1], block[1:])
     spans = np.diff(times)
     costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
-    if dense:
-        return FlowTrajectory(times, grids, energies, costs)
     return FlowTrajectory._from_reader(times, read, n, energies, costs)
 
 
@@ -260,7 +248,7 @@ def isotonic_project(y) -> QuantileGrid:
     return QuantileGrid(_pava(np.asarray(y, dtype=float).reshape(-1)))
 
 
-def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray | None:
     """Projected Newton trial from ``x`` with gradient ``g``, on the face of
     the cone read off the projected-gradient point ``y``.
 
@@ -271,7 +259,9 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
     ``mb``-weighted inner product.  Conjugate gradients in that inner product
     are conjugate gradients on ``P^T H P`` preconditioned by
     ``diag(block sizes) / tau``; they solve for ``e = -dz``.  Returns the
-    projection of ``xb + dz``, expanded to the grid.
+    projection of ``xb + dz``, expanded to the grid, or ``None``, no trial,
+    once a curvature ``p . H p`` is not finite: a gap just above the
+    smallest normal float can give a pair weight past the float range.
     """
     starts, sizes = _equal_runs(y)
     xb = np.add.reduceat(x, starts) / sizes
@@ -283,8 +273,11 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
     rr = float(mb @ (r * r))
     stop = CG_RTOL**2 * rr
     for _ in range(xb.size):
-        hp = p / tau + pair_hessian(W, xb, mb, p)
-        php = float(mb @ (p * hp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            hp = p / tau + pair_hessian(W, xb, mb, p)
+            php = float(mb @ (p * hp))
+        if not math.isfinite(php):
+            return None
         if not php > 0.0:
             break
         a = rr / php
@@ -314,11 +307,13 @@ def jko_step(
     is taken if it does not increase the objective, and a projected-gradient
     step with backtracking from ``alpha0`` if it does.  Every trial, Newton
     or backtracking, takes its objective and gradient from one pass over the
-    pairs (``pair_energy_force``).  Without curvature (no power terms,
-    ``beta = 0``) ``y`` is the Newton point, so the step goes straight to the
-    projected-gradient test.  The output never increases the objective
-    relative to ``prev``; a step whose backtracking finds no sufficient
-    decrease raises ``ConvergenceFailure`` instead of being accepted.
+    pairs (``pair_energy_force``); an iteration with no Newton trial
+    (``_newton_point`` gives ``None``) takes the projected-gradient step.
+    Without curvature (no power terms, ``beta = 0``) ``y`` is the Newton
+    point, so the step goes straight to the projected-gradient test.  The
+    output never increases the objective relative to ``prev``; a step whose
+    backtracking finds no sufficient decrease raises ``ConvergenceFailure``
+    instead of being accepted.
     """
     if not W.jko_eligible:
         raise DomainError(
@@ -353,8 +348,8 @@ def jko_step(
         residuals.append(float(np.linalg.norm(y - x)) / alpha0)
         if residuals[-1] <= cfg.inner_tol:
             return QuantileGrid(x)
-        if curved:
-            z = _newton_point(W, x, g, y, tau)
+        z = _newton_point(W, x, g, y, tau) if curved else None
+        if z is not None:
             fz, gz = gboth(z)
             if fz <= fx + 1e-12 * (1.0 + abs(fx)):
                 x, fx, g = z, fz, gz
@@ -410,7 +405,8 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
             failure.step_index = k
             raise
         grids[k + 1] = state.values
-    return _trajectory(W, np.arange(steps + 1) * cfg.tau, grids)
+    grids.flags.writeable = False
+    return _trajectory(W, np.arange(steps + 1) * cfg.tau, lambda lo, hi: grids[lo:hi], cfg.n)
 
 
 def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.ndarray:
@@ -425,7 +421,7 @@ def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.
     e_sigma = interaction_energy(W, sigma)
     dists = np.empty(traj.times.size)
     for states, _, block in traj.row_blocks():
-        dists[states] = _squares(_row_w2(block[: states.stop - states.start], sigma.values))
+        dists[states] = _row_w2sq(block[: states.stop - states.start], sigma.values)
     taus = np.diff(traj.times)
     return (
         np.diff(dists) / (2.0 * taus)

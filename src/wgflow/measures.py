@@ -18,31 +18,22 @@ from typing import Callable, Iterable
 import numpy as np
 
 MASS_TOL = 1e-12
-# Largest number of grid values a row-wise pass over an array of grids (one
-# grid per row) holds in one temporary.
-ROW_CHUNK = 1 << 12
 
 
 class DomainError(ValueError):
     """An operation was invoked outside its stated domain."""
 
 
-def _row_chunks(rows: int, n: int):
-    """Slices of ``range(rows)`` holding at most ``ROW_CHUNK`` values of rows
-    of length ``n``, one row when a row alone is longer."""
-    step = max(1, ROW_CHUNK // n)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
 def _check_grids(v: np.ndarray):
-    """Refuse ``v`` unless it is a nonempty 2-D array of finite nondecreasing rows."""
+    """Refuse ``v`` unless it is a nonempty 2-D array of finite nondecreasing
+    rows.  Its temporaries are the size of ``v``: a pass over a trajectory
+    hands it one block of rows at a time (``jko._row_blocks``)."""
     if v.ndim != 2 or v.size == 0:
         raise DomainError("quantile grids need at least one grid of at least one value")
-    for rows in _row_chunks(*v.shape):
-        if not np.all(np.isfinite(v[rows])):
-            raise DomainError("quantile grid values must be finite")
-        if np.any(v[rows, 1:] < v[rows, :-1]):
-            raise DomainError("quantile grid values must be nondecreasing")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("quantile grid values must be finite")
+    if np.any(v[:, 1:] < v[:, :-1]):
+        raise DomainError("quantile grid values must be nondecreasing")
 
 
 def midpoint_nodes(n: int) -> np.ndarray:

@@ -75,22 +75,6 @@ class ParticleHistory(Sequence):
         # the index of each segment's first record, then the record count
         self._starts = np.cumsum([0] + [x.shape[0] for _, x in self.segments])
 
-    @classmethod
-    def from_states(cls, states) -> ParticleHistory:
-        """The history of ``states``, consecutive ones with equal masses in
-        one segment."""
-        states = list(states)
-        segments: list = []
-        for st in states:
-            if segments and np.array_equal(segments[-1][0], st.masses):
-                segments[-1][1].append(st.positions)
-            else:
-                segments.append((st.masses, [st.positions]))
-        return cls(
-            np.array([st.time for st in states], dtype=float),
-            [(m, np.stack(rows)) for m, rows in segments],
-        )
-
     def __len__(self) -> int:
         return self.times.size
 
@@ -271,9 +255,8 @@ def nonuniqueness_branches(x0: float, t: float, pair_onset: float = 1.0) -> list
     return [stationary, pair, triple, delayed]
 
 
-def quantile_trajectory(W: Potential, history, n: int) -> FlowTrajectory:
-    """Empirical-measure quantile grids of a particle history (a
-    ``ParticleHistory`` or a sequence of states): a node reads, by
+def quantile_trajectory(W: Potential, history: ParticleHistory, n: int) -> FlowTrajectory:
+    """Empirical-measure quantile grids of a particle history: a node reads, by
     ``piece_index``, the position of the first particle whose cumulative
     mass exceeds it (``+ 0.0`` reads -0.0 as 0.0, as a flat piece does).
 
@@ -287,8 +270,6 @@ def quantile_trajectory(W: Potential, history, n: int) -> FlowTrajectory:
     the two ends reads the next position.  Step costs use the
     substep lengths, which are nonuniform around collision events.
     """
-    if not isinstance(history, ParticleHistory):
-        history = ParticleHistory.from_states(history)
     nodes = midpoint_nodes(n)
     starts = history._starts
     # the particle each node reads, per segment

@@ -7,7 +7,7 @@ Every pairwise sum goes through one kernel over sorted weighted points:
 ``pair_energy``, ``pair_force``, both from one pass (``pair_energy_force``),
 and ``pair_hessian``, which applies the energy's Hessian on the monotone cone
 to a vector.  The first three take one row of points or an array of rows,
-such as a whole trajectory.  The cusp and quadratic terms are closed form,
+such as one block of a trajectory's rows.  The cusp and quadratic terms are closed form,
 and a power term with p = 2 joins the quadratic.  Every other power term is
 summed once per pair over the lower triangle of the sorted points, in row
 blocks of at most ``PAIR_BLOCK`` elements, where the gaps ``x_i - x_j`` are
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, QuantileGrid, _row_chunks
+from .measures import DomainError, QuantileGrid
 
 
 @dataclass(frozen=True)
@@ -172,14 +172,16 @@ def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: b
     """``(energy, force)`` of ``pair_energy_force``; a part not asked for is
     ``None`` and is not computed.  ``x`` is one row of sorted points or an
     array of such rows, all with the weights ``m``; an array of rows gives an
-    energy per row and a force row per row.
+    energy per row and a force row per row.  The closed-form parts hold
+    temporaries the size of ``x``: a pass over a trajectory hands it one
+    block of rows at a time (``jko._row_blocks``).
 
-    The cusp and quadratic parts are closed form, taken for a chunk of rows
-    (``measures._row_chunks``) at a time.  ``np.vecdot`` takes the same dot
-    product on each row that ``m @ row`` takes on one, so a row's parts are
-    bit for bit those of the row alone.  With ``s_i`` the mass below point i
-    minus the mass above it, ties in index order, the cusp energy is
-    ``eta sum_i m_i (x_i - m @ x) s_i``; ``s`` depends on ``m`` only.
+    The cusp and quadratic parts are closed form.  ``np.vecdot`` takes the
+    same dot product on each row that ``m @ row`` takes on one, so a row's
+    parts are bit for bit those of the row alone.  With ``s_i`` the mass
+    below point i minus the mass above it, ties in index order, the cusp
+    energy is ``eta sum_i m_i (x_i - m @ x) s_i``; ``s`` depends on ``m``
+    only.
 
     A power term ``c|d|^p`` is summed row by row over the lower triangle of
     the sorted points in the row blocks of ``_triangle_blocks``: there
@@ -192,17 +194,9 @@ def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: b
     n = x.shape[-1]
     cum = np.concatenate(([0.0], np.cumsum(m)))
     signs = cum[:-1] + cum[1:] - cum[-1]
-    e = np.empty(x.shape[:-1]) if energy else None
-    f = np.empty(x.shape) if force else None
-    # one row is one chunk, indexed by ``...``
-    for rows in _row_chunks(*x.shape) if x.ndim == 2 else [...]:
-        xr = x[rows]
-        xc = xr - np.vecdot(xr, m, keepdims=True)
-        if energy:
-            e[rows] = W.eta * np.vecdot(m * xc, signs)
-            e[rows] += 0.5 * beta * np.vecdot(m, xc**2)
-        if force:
-            f[rows] = W.eta * (signs if cone else _tie_signs(xr, cum)) + beta * xc
+    xc = x - np.vecdot(x, m, keepdims=True)
+    e = np.asarray(W.eta * np.vecdot(m * xc, signs) + 0.5 * beta * np.vecdot(m, xc**2)) if energy else None
+    f = W.eta * (signs if cone else _tie_signs(x, cum)) + beta * xc if force else None
     # the power terms, row by row, on flat views of the outputs
     es = None if e is None else e.reshape(-1)
     fs = None if f is None else f.reshape(-1, n)
@@ -222,6 +216,8 @@ def pair_energy(W: Potential, x: np.ndarray, m: np.ndarray):
     """(1/2) sum_{i,j} m_i m_j W(x_i - x_j) for sorted points ``x`` with
     weights ``m`` summing to 1: a float for one row ``x``, and for an array
     of rows the array of their energies, each bit for bit the row's own.
+    An array of rows is taken whole, so a trajectory bounds the memory by
+    handing in one block of rows at a time (``jko._row_blocks``).
 
     The cusp is the linear form eta * sum_i m_i x_i s_i in the ordered values
     (s the mass below point i minus the mass above it), the quadratic is
@@ -294,20 +290,12 @@ def interaction_energy(W: Potential, g: QuantileGrid) -> float:
     return pair_energy(W, g.values, np.full(g.n, 1.0 / g.n))
 
 
-def velocity_field(W: Potential, g: QuantileGrid, i: int) -> float:
-    """Velocity of the flow at grid point ``i``: minus the mean pairwise force.
+def velocity_profile(W: Potential, g: QuantileGrid) -> np.ndarray:
+    """Velocity of the flow at every grid point: minus the mean pairwise force.
 
     Tied values are excluded from the interaction, so a fully collapsed grid
     is stationary under this field.
     """
-    n = g.n
-    if not 0 <= i < n:
-        raise DomainError(f"index {i} outside 0..{n - 1}")
-    return float(velocity_profile(W, g)[i])
-
-
-def velocity_profile(W: Potential, g: QuantileGrid) -> np.ndarray:
-    """velocity_field evaluated at every grid index."""
     return -pair_force(W, g.values, np.full(g.n, 1.0 / g.n), cone=False)
 
 

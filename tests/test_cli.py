@@ -586,22 +586,25 @@ GOLDEN_RUNS = {
         "diagnostics": GOLDEN_DIAGNOSTICS,
     },
 }
-# sha256 of trajectory.csv, summary.csv and diagnostics.json
+# sha256 of trajectory.csv, summary.csv and diagnostics.json.  The summaries
+# and diagnostics of the jko and particle runs take their squared distances as
+# row-wise mean squares (``transport._row_w2sq``), not as squared square roots:
+# each squared distance is within 1 ulp of the old, each step cost within 2.
 GOLDEN_SHA256 = {
     "jko": (
         "0690421aea337d79f9c7fe4f52bdbb504b90b2f6c417cceeed82917a17c8d2f9",
-        "6fdb7198191f82e3c6e873e630bcaee09b654bb60a0a8dbf9f504691e88dcf52",
-        "46b3abadcb3d632e112db5770d7543384e30d62d81ec561d470d2cdf3cd29d20",
+        "f23692ebea707f1e3f45b297836fc0e2554fd86949c6021dbd7708c0a5c13e9d",
+        "0b72a21a10e7714f3f9f71f1b3be4a45aa7565dc8e2da3e326a81c1e72df949b",
     ),
     "particles": (
         "368ee867ece4c15da9e552aaef49ee08a89d365f8e138968944ec4b8f9dcd90d",
-        "5fa740ad1fad72592547f1d1775c9f5b862599438a7201ad7bafbae6b84fbb73",
-        "0ab0db5fded3710064eddc80a8484c03d3c9f3b6c71ad871b6844ea257c969f3",
+        "33b1b5d6327b2b30e803587a43e98c2dd67b140d75742f03d97f16de708e54a8",
+        "65938ee1ced3c53dd7be87c0b648dacce389f423d9bc7ba95a66bbf07c1fde2d",
     ),
     "particles_blocks": (
         "6b1e8a4f6c855fcb4ad37e6dbe054e3a6118ee6820e3def71dbc485342a4ffe8",
-        "f35f406e71041ccb7f3a7213f88d538bb38e0dd0046f2f3359d22bfa274db5dd",
-        "280f673fef98dda896734945564f68d8cd36cf13a1cafe3b0ddfe4ff8b130775",
+        "9bbfaf00c99073ca23e4fcf7cef0682350dc7142adf5602362f12dff2791c42d",
+        "3cfcff8e563f962e9fc6d4c47f791c023a793238fc7fa956c94b98772339caab",
     ),
     "exact": (
         "ff5b80dab42439d08d4546ede8b92556957a7343884bcb4d7c099d1f7e599a4a",

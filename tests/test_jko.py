@@ -31,6 +31,7 @@ from wgflow import (
 )
 from oracles import lattice_isotonic
 from wgflow.potential import curvature_bound, evaluate, pair_energy
+from wgflow.transport import _row_w2sq
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)
@@ -463,6 +464,14 @@ def _certifiable_potential(draw):
     Potential(eta=-1.0, beta=0.0, terms=((0.5, 1.0000000000000002),)),
     [0.0, 2.225073858507203e-309],
 )
+@example(  # a gap of the smallest normal float: the Newton curvature overflows
+    Potential(eta=-1.875, terms=((1.75, 1.125),)),
+    [0.0, 1.0, 2.2250738585072014e-308],
+)
+@example(  # the same gap, where pair_hessian's product itself overflows
+    Potential(eta=-1.0, terms=((1.0, 1.03125),)),
+    [0.0, 1.0, 2.2250738585072014e-308],
+)
 def test_certificate_does_not_depend_on_radius(W, values):
     # a negative term has p = 2, where r**(p - 2) = 1, so the radius drops out
     certs = [convexity_certificate(W, radius=r) for r in (1.0, 10.0, 1e3)]
@@ -480,17 +489,18 @@ def test_certificate_does_not_depend_on_radius(W, values):
     assert outcome(None) == outcome(convexity_certificate(W))
 
 
-# float.hex of the row-wise diagnostics of a small cusp-plus-power flow.  The
-# reference sigma gives two W2 values whose square as a Python float differs
-# from numpy's array square, so a change of rounding there moves these bits.
+# float.hex of the row-wise diagnostics of a small cusp-plus-power flow.
+# Step costs and EVI take the squared distances as row-wise mean squares
+# (``_row_w2sq``); those pinned before squared the square roots as Python
+# floats, and differed from these by at most 1 ulp in each squared distance.
 PINNED_STEP_COSTS = (
-    "0x1.d3d36db6e38e4p-12", "0x1.c166035ba933ap-12", "0x1.b349ae3ef4ab2p-12",
-    "0x1.a76f31d7fc9dfp-12", "0x1.9d094f0986e17p-12", "0x1.93ae514d20bf7p-12",
+    "0x1.d3d36db6e38e4p-12", "0x1.c166035ba933ap-12", "0x1.b349ae3ef4ab3p-12",
+    "0x1.a76f31d7fc9dfp-12", "0x1.9d094f0986e16p-12", "0x1.93ae514d20bf7p-12",
     "0x1.8b1f2ee81d90dp-12", "0x1.8332adc0891bfp-12", "0x1.7bcc0fd59fd05p-12",
-    "0x1.74d6542332dccp-12", "0x1.6e4190850d5d8p-12", "0x1.68015c1a57e2cp-12",
-    "0x1.620bcf1f51951p-12", "0x1.5c58d9ef75cecp-12", "0x1.56e1d171329c4p-12",
-    "0x1.51a11d9cacda8p-12", "0x1.4c91fe8e0bef0p-12", "0x1.47b060f18aa8bp-12",
-    "0x1.42f8bd28a76e0p-12", "0x1.3e67fe184d697p-12",
+    "0x1.74d6542332dccp-12", "0x1.6e4190850d5d9p-12", "0x1.68015c1a57e2bp-12",
+    "0x1.620bcf1f51951p-12", "0x1.5c58d9ef75cedp-12", "0x1.56e1d171329c5p-12",
+    "0x1.51a11d9cacda9p-12", "0x1.4c91fe8e0beefp-12", "0x1.47b060f18aa8cp-12",
+    "0x1.42f8bd28a76e1p-12", "0x1.3e67fe184d698p-12",
 )
 PINNED_SPEEDS = (
     "0x1.31e25ea7b5942p-2", "0x1.2bcca7645888ap-2", "0x1.270e20b1b8a37p-2",
@@ -502,13 +512,13 @@ PINNED_SPEEDS = (
     "0x1.fc4eeb89be207p-3", "0x1.f8b3ee9f966d8p-3",
 )
 PINNED_EVI = (
-    "-0x1.10f3688c55461p-2", "-0x1.0becfcda83ab2p-2", "-0x1.07a7da800347fp-2",
-    "-0x1.03cb6ad4ebf30p-2", "-0x1.0034deee1616bp-2", "-0x1.f9a43b68744e4p-3",
-    "-0x1.f33081dd18e29p-3", "-0x1.ed002a7183a6cp-3", "-0x1.e7090fdc0266ep-3",
-    "-0x1.e143b39d97ce5p-3", "-0x1.dbaa5800b8b3dp-3", "-0x1.d63876090dfc5p-3",
-    "-0x1.d0ea65f3aabdfp-3", "-0x1.cbbd25481985cp-3", "-0x1.c6ae2f1458e74p-3",
-    "-0x1.c1bb5fcab5b86p-3", "-0x1.bce2e0d57e474p-3", "-0x1.b823196e61091p-3",
-    "-0x1.b37aa325ca484p-3", "-0x1.aee8410e787efp-3",
+    "-0x1.10f3688c55430p-2", "-0x1.0becfcda83b15p-2", "-0x1.07a7da800344dp-2",
+    "-0x1.03cb6ad4ebf30p-2", "-0x1.0034deee1616bp-2", "-0x1.f9a43b6874548p-3",
+    "-0x1.f33081dd18dc5p-3", "-0x1.ed002a7183a6cp-3", "-0x1.e7090fdc0260cp-3",
+    "-0x1.e143b39d97d49p-3", "-0x1.dbaa5800b8b3dp-3", "-0x1.d63876090dfc5p-3",
+    "-0x1.d0ea65f3aabdfp-3", "-0x1.cbbd2548197f8p-3", "-0x1.c6ae2f1458ed8p-3",
+    "-0x1.c1bb5fcab5b22p-3", "-0x1.bce2e0d57e476p-3", "-0x1.b823196e610f5p-3",
+    "-0x1.b37aa325ca420p-3", "-0x1.aee8410e788b7p-3",
 )
 PINNED_WEAK = "0x1.2b4242fb53438p-10"
 
@@ -527,6 +537,19 @@ def test_row_wise_diagnostics_keep_their_bits():
     assert hexes(metric_derivative_estimate(traj)) == PINNED_SPEEDS
     assert hexes(evi_residual(W, traj, sigma)) == PINNED_EVI
     assert float(weak_residual(traj, W, bumps)).hex() == PINNED_WEAK
+
+
+def test_step_costs_are_the_row_wise_mean_squares():
+    W = Potential(eta=-1.0, terms=((0.5, 1.5),))
+    init = Measure1D(atoms=((-0.5, 0.5), (0.5, 0.5)))
+    traj = run_flow(W, init, JkoConfig(tau=0.01, n=16, t_end=0.2))
+    spans = 2.0 * np.diff(traj.times)
+    squares = _row_w2sq(traj.grids[:-1], traj.grids[1:])
+    assert np.array_equal(traj.step_costs, squares / spans)
+    # the mean square itself, not its root squared, which is within 2 ulp
+    squared_roots = np.array([w2_quantile(traj.state(k), traj.state(k + 1)) ** 2 for k in range(spans.size)])
+    gap = np.abs(traj.step_costs - squared_roots / spans)
+    assert np.all(gap <= 2.0 * np.spacing(traj.step_costs))
 
 
 def _small_trajectory():
@@ -558,7 +581,8 @@ def test_flow_trajectory_refuses_bad_arrays(field, value):
 def test_flow_trajectory_freezes_its_grids():
     grids, times, energies, step_costs = _small_trajectory()
     traj = FlowTrajectory(times, grids, energies, step_costs)
-    assert traj.grids is grids  # C-contiguous float64 is kept, not copied
+    assert traj.grids.base is grids  # C-contiguous float64 is kept, not copied
+    assert not grids.flags.writeable
     with pytest.raises(ValueError):
         traj.grids[0, 0] = -1.0
     assert traj.state(1) == QuantileGrid([0.0, 1.5, 2.5])

@@ -15,6 +15,7 @@ from wgflow import (
     to_quantile_grid,
 )
 from oracles import random_measure
+from wgflow.measures import _check_grids
 
 
 def test_cdf_dirac():
@@ -99,6 +100,27 @@ def test_grid_invariants():
         QuantileGrid([])
     g = QuantileGrid([1.0, 2.0])
     assert not g.values.flags.writeable
+
+
+def test_check_grids_refuses_an_array_where_it_refuses_a_row():
+    # the whole array in one pass, more than 4,096 values in some cases
+    rng = np.random.default_rng(20261020)
+    sizes = []
+    for case in range(60):
+        v = np.sort(rng.normal(size=(int(rng.integers(1, 61)), int(rng.integers(1, 301)))), axis=1)
+        k, j = int(rng.integers(v.shape[0])), int(rng.integers(v.shape[1]))
+        v[k, j] = (np.nan, np.inf, -np.inf, v[k, j] - 1.0, v[k, j])[case % 5]
+        sizes.append(v.size)
+
+        def refused(a):
+            try:
+                _check_grids(a)
+            except DomainError:
+                return True
+            return False
+
+        assert refused(v) == any(refused(row[None]) for row in v)
+    assert max(sizes) > 4096
 
 
 def test_measure_invariants():

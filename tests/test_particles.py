@@ -27,7 +27,7 @@ from wgflow.jko import _trajectory, evi_residual
 from wgflow.particles import ParticleHistory
 from wgflow.particles import interaction_energy as particle_energy
 from wgflow.potential import pair_energy
-from wgflow.transport import _row_w2
+from wgflow.transport import _row_w2sq
 
 from oracles import reference_integrate
 
@@ -276,6 +276,11 @@ def _particle_state(draw, coincident: bool):
 _STATES = _particle_state(coincident=False) | _particle_state(coincident=True)
 
 
+def _one_record(state):
+    """The history of ``state`` alone."""
+    return ParticleHistory(np.array([state.time]), [(state.masses, state.positions[None])])
+
+
 def _assert_rows_are_measure_grids(history, n):
     """Every row of the adapter equals, bit for bit, the grid of the state's
     measure through ``quantile_pieces``."""
@@ -288,7 +293,7 @@ def _assert_rows_are_measure_grids(history, n):
 @settings(max_examples=300, deadline=None)
 @given(_STATES, st.integers(1, 64))
 def test_quantile_trajectory_rows_match_measure_grids(state, n):
-    _assert_rows_are_measure_grids([state], n)
+    _assert_rows_are_measure_grids(_one_record(state), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,11 +306,11 @@ def test_quantile_trajectory_of_integrated_histories(state, eta, n):
 
 def _assert_reader_matches_dense(W, history, n):
     """The trajectory that reads its rows off ``history`` a block at a time
-    gives, bit for bit, what the same grids held as one array give, and what
-    whole-array passes over them give."""
+    gives, bit for bit, what the same grids held as one array and read
+    through slices give, and what whole-array passes over them give."""
     traj = quantile_trajectory(W, history, n)
     grids = traj.grids
-    dense = _trajectory(W, history.times, grids)
+    dense = _trajectory(W, history.times, lambda lo, hi: grids[lo:hi], n)
     m = np.full(n, 1.0 / n)
     assert np.array_equal(traj.energies, dense.energies)
     assert np.array_equal(traj.energies, pair_energy(W, grids, m))
@@ -319,7 +324,7 @@ def _assert_reader_matches_dense(W, history, n):
     if len(history) > 1:
         speeds = metric_derivative_estimate(traj)
         assert np.array_equal(speeds, metric_derivative_estimate(dense))
-        assert np.array_equal(speeds, _row_w2(grids[:-1], grids[1:]) / np.diff(history.times))
+        assert np.array_equal(speeds, np.sqrt(_row_w2sq(grids[:-1], grids[1:])) / np.diff(history.times))
 
 
 # 1 and 7 nodes fit all records in one row block, 64 and 300 make blocks that
@@ -338,7 +343,7 @@ def test_quantile_trajectory_reader_matches_dense_grids(state, eta, n):
 @settings(max_examples=20, deadline=None)
 @given(_STATES, _READER_SIZES)
 def test_quantile_trajectory_reader_of_one_record(state, n):
-    _assert_reader_matches_dense(ATTRACTIVE, ParticleHistory.from_states([state]), n)
+    _assert_reader_matches_dense(ATTRACTIVE, _one_record(state), n)
 
 
 def _assert_same_history(got, want):

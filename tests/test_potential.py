@@ -20,7 +20,6 @@ from wgflow import (
     evaluate,
     interaction_energy,
     to_quantile_grid,
-    velocity_field,
     velocity_profile,
 )
 from oracles import (
@@ -107,27 +106,24 @@ def test_translation_invariance_exact():
 
 def test_velocity_field_examples():
     g_dirac = to_quantile_grid(Measure1D.dirac(0.0), 16)
-    for i in range(16):
-        assert velocity_field(CUSP_REPULSIVE, g_dirac, i) == 0.0
+    assert np.all(velocity_profile(CUSP_REPULSIVE, g_dirac) == 0.0)
     t = 1.3
     g = to_quantile_grid(Measure1D.uniform(-t, t), 500)
+    v = velocity_profile(CUSP_REPULSIVE, g)
     for i in (50, 250, 449):
-        x = g.values[i]
-        assert velocity_field(CUSP_REPULSIVE, g, i) == pytest.approx(
-            x / t, abs=5.0 / 500
-        )
-    pair = QuantileGrid([-0.4, 0.4])
-    assert velocity_field(CUSP_ATTRACTIVE, pair, 0) == pytest.approx(0.5)
-    assert velocity_field(CUSP_ATTRACTIVE, pair, 1) == pytest.approx(-0.5)
+        assert v[i] == pytest.approx(g.values[i] / t, abs=5.0 / 500)
+    pair = velocity_profile(CUSP_ATTRACTIVE, QuantileGrid([-0.4, 0.4]))
+    assert pair[0] == pytest.approx(0.5)
+    assert pair[1] == pytest.approx(-0.5)
 
 
 def test_velocity_profile_matches_pointwise():
     rng = np.random.default_rng(43)
     W = Potential(eta=-0.5, beta=0.3, terms=((0.2, 1.8),))
     g = _random_increasing(rng, 20)
-    prof = velocity_profile(W, g)
-    for i in range(g.n):
-        assert prof[i] == pytest.approx(velocity_field(W, g, i), abs=1e-14)
+    # minus the tie-excluding mean force, summed point by point
+    _, _, force = dense_pair_sums(W.eta, W.beta, W.terms, g.values, np.full(g.n, 1.0 / g.n))
+    assert np.allclose(velocity_profile(W, g), -force, rtol=0.0, atol=1e-14)
 
 
 def test_zero_mean_force():
@@ -298,9 +294,11 @@ def test_potential_json_round_trip():
 
 
 def test_pair_kernel_on_rows_equals_row_by_row_bits():
-    # an array of rows gives each row's energy and forces bit for bit, over
-    # several row chunks (up to 40 rows of up to 300 points)
+    # an array of rows gives each row's energy and forces bit for bit, the
+    # whole array in one pass (up to 40 rows of up to 300 points, more than
+    # 4,096 values in some cases)
     rng = np.random.default_rng(20261019)
+    sizes = []
     potentials = (
         Potential(eta=-0.7, beta=1.3),
         Potential(eta=1.1, beta=-0.4, terms=((0.6, 2.0),)),
@@ -314,6 +312,7 @@ def test_pair_kernel_on_rows_equals_row_by_row_bits():
             x = np.round(4.0 * x) / 4.0
             x[:, : n // 3] = x[:, :1]
         x = np.sort(x, axis=1)
+        sizes.append(x.size)
         m = np.full(n, 1.0 / n) if case % 3 else rng.uniform(0.5, 1.5, n)
         m = m / m.sum()
         # the p = 1.5 term takes the blocked per-row pass: keep those rows short
@@ -325,6 +324,7 @@ def test_pair_kernel_on_rows_equals_row_by_row_bits():
             assert np.array_equal(forces, [pair_force(W, row, m, cone=cone) for row in x])
             e, f = pair_energy_force(W, x, m, cone=cone)
             assert np.array_equal(e, energies) and np.array_equal(f, forces)
+    assert max(sizes) > 4096
 
 
 @pytest.mark.parametrize("budget", [7, 64, 1000, PAIR_BLOCK])

@@ -45,6 +45,19 @@ def test_w2_quantile_dirac_vs_uniform():
     assert w2_quantile(g1, g2) == pytest.approx(1 / np.sqrt(3), abs=1e-3)
 
 
+def test_row_w2sq_on_rows_equals_row_by_row_bits():
+    # the whole array in one pass, more than 4,096 values in some cases
+    rng = np.random.default_rng(20261020)
+    sizes = []
+    for _ in range(60):
+        a, b = rng.normal(size=(2, int(rng.integers(1, 61)), int(rng.integers(1, 301))))
+        sizes.append(a.size)
+        got = transport._row_w2sq(a, b)
+        assert np.array_equal(got, [transport._row_w2sq(x[None], y)[0] for x, y in zip(a, b)])
+        assert np.array_equal(transport._row_w2sq(a, b[0]), [transport._row_w2sq(x[None], b[0])[0] for x in a])
+    assert max(sizes) > 4096
+
+
 def test_w2_exact_examples():
     assert w2_exact_discrete(Measure1D.dirac(0.0), Measure1D.dirac(1.0)) == 1.0
     for t in (0.5, 1.0, 2.0):

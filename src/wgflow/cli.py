@@ -249,14 +249,27 @@ class ExperimentConfig:
         }
 
 
+# Rows per format template of the grid trajectory writer.  One template of
+# all n rows, one ``%`` per state, left a cusp+quadratic run at n = 4000 with
+# a peak RSS 0.6 MB higher; 256 rows keep each formatted string near 10 KB.
+_TEMPLATE_ROWS = 256
+
+
 def _write_grid_trajectory(path: str, traj: FlowTrajectory):
     n = traj.grid_size
-    # the ",i,s_i," columns are the same for every state
-    columns = [f",{i},{s}," for i, s in enumerate(_fmts(midpoint_nodes(n)))]
+    nodes = midpoint_nodes(n)
+    # per chunk of rows, one template of the rows "\0,i,s_i,%.17g\n": the
+    # ",i,s_i," columns are the same for every state, "\0" takes its time
+    blocks = []
+    for lo in range(0, n, _TEMPLATE_ROWS):
+        cut = slice(lo, min(lo + _TEMPLATE_ROWS, n))
+        rows = zip(range(cut.start, cut.stop), _fmts(nodes[cut]))
+        blocks.append((cut, "".join(f"\0,{i},{s},%.17g\n" for i, s in rows)))
     with open(path, "w", newline="") as fh:
         fh.write("t,i,s_i,X_i\n")
         for ts, row in zip(_fmts(traj.times), traj.grids):
-            fh.writelines(ts + c + x + "\n" for c, x in zip(columns, _fmts(row)))
+            for cut, template in blocks:
+                fh.write(template.replace("\0", ts) % tuple(row[cut].tolist()))
 
 
 def _write_particle_trajectory(path: str, history: ParticleHistory):
@@ -353,7 +366,6 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
     try:
         if cfg.method == "jko":
             traj = run_flow(cfg.potential, cfg.initial, cfg.jko_config())
-            _write_grid_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), traj)
         elif cfg.method == "particles":
             # particles start sorted, one per position: repeats of a position
             # merge, their masses summed in the order the config lists them
@@ -368,7 +380,6 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
             traj = quantile_trajectory(cfg.potential, history, cfg.n)
         else:
             traj = _exact_trajectory(cfg)
-            _write_grid_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), traj)
     except ConvergenceFailure as failure:
         return _error_record(
             "convergence",
@@ -388,6 +399,10 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         with open(os.path.join(cfg.out_dir, "diagnostics.json"), "w") as fh:
             json.dump(diagnostics, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    if cfg.method != "particles":
+        # written last, the grid CSV's short-lived strings reuse heap that the
+        # diagnostics freed; written before them, it left peak RSS higher
+        _write_grid_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), traj)
     manifest = {
         "config": cfg.resolved_dict(),
         "seed": seed,

@@ -227,7 +227,7 @@ def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory
 def _pava(y: np.ndarray) -> np.ndarray:
     """L2 projection onto nondecreasing sequences (pool adjacent violators);
     an input that is already nondecreasing is returned as it is."""
-    if np.all(np.diff(y) >= 0.0):
+    if (y[1:] >= y[:-1]).all():
         return y
     means: list[float] = []
     counts: list[int] = []
@@ -290,11 +290,25 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
     return _pava(np.repeat(xb - e, sizes))
 
 
+class StepRecord:
+    """What one implicit step hands to the next: the ``grid`` it returned,
+    the potential ``W`` it stepped under, and the pair ``energy`` and cone
+    ``force`` (``pair_energy_force(W, grid.values, m, cone=True)``) at that
+    grid.  ``jko_step`` fills it on return and starts from it when it is
+    handed the same ``W`` and, as ``prev``, the same grid object."""
+
+    __slots__ = ("W", "grid", "energy", "force")
+
+    def __init__(self):
+        self.W = self.grid = self.energy = self.force = None
+
+
 def jko_step(
     W: Potential,
     prev: QuantileGrid,
     cfg: JkoConfig,
     cert: ConvexityCertificate | None = None,
+    record: StepRecord | None = None,
 ) -> QuantileGrid:
     """One implicit step from ``prev``.
 
@@ -314,6 +328,13 @@ def jko_step(
     output never increases the objective relative to ``prev``; a step whose
     backtracking finds no sufficient decrease raises ``ConvergenceFailure``
     instead of being accepted.
+
+    Given a ``record`` whose ``grid`` is ``prev`` and whose ``W`` is ``W``,
+    the step starts from the record's energy and force instead of computing
+    them again; any other record is ignored.  On return the record holds the
+    returned grid with its energy and force, so the next step from that grid
+    starts from them (``run_flow``).  The outputs are the same bit for bit
+    with a record or without one.
     """
     if not W.jko_eligible:
         raise DomainError(
@@ -332,27 +353,33 @@ def jko_step(
     m = np.full(n, 1.0 / n)
 
     # objective scaled by n: G(x) = ||x - x_prev||^2 / (2 tau) + n E(x); the
-    # cone gradient of n E is n * m * force = force
-    def gboth(x):
+    # cone gradient of n E is n * m * force = force.  A trial gives the pair
+    # energy and force at x (``ef``, computed unless given), and G and its
+    # gradient there.
+    def trial(x, ef=None):
         d = x - x_prev
-        e, f = pair_energy_force(W, x, m, cone=True)
-        return 0.5 * float(d @ d) / tau + n * e, d / tau + f
+        e, f = pair_energy_force(W, x, m, cone=True) if ef is None else ef
+        return (e, f), 0.5 * float(d @ d) / tau + n * e, d / tau + f
 
     alpha0 = 1.0 / (1.0 / tau + 2.0 * curvature_bound(W, radius))
     curved = W.beta != 0.0 or any(c != 0.0 for c, _ in W.terms)
+    handed = record is not None and record.grid is prev and record.W is W
     x = x_prev.copy()
-    fx, g = gboth(x)
+    ef, fx, g = trial(x, (record.energy, record.force) if handed else None)
     residuals: list[float] = []
     for _ in range(cfg.inner_max_iters):
         y = _pava(x - alpha0 * g)
         residuals.append(float(np.linalg.norm(y - x)) / alpha0)
         if residuals[-1] <= cfg.inner_tol:
-            return QuantileGrid(x)
+            out = QuantileGrid(x)
+            if record is not None:
+                record.W, record.grid, (record.energy, record.force) = W, out, ef
+            return out
         z = _newton_point(W, x, g, y, tau) if curved else None
         if z is not None:
-            fz, gz = gboth(z)
+            ez, fz, gz = trial(z)
             if fz <= fx + 1e-12 * (1.0 + abs(fx)):
-                x, fx, g = z, fz, gz
+                x, ef, fx, g = z, ez, fz, gz
                 continue
         alpha = alpha0
         for halving in range(BACKTRACK_HALVINGS):
@@ -360,7 +387,7 @@ def jko_step(
                 alpha *= 0.5
                 y = _pava(x - alpha * g)
             dy = y - x
-            fy, gy = gboth(y)
+            ey, fy, gy = trial(y)
             model = fx + float(g @ dy) + 0.5 * float(dy @ dy) / alpha
             if fy <= model + 1e-12 * (1.0 + abs(fx)):
                 break
@@ -373,7 +400,7 @@ def jko_step(
                 residual=residuals[-1] if len(residuals) > 1 else math.inf,
                 residuals=residuals,
             )
-        x, fx, g = y, fy, gy
+        x, ef, fx, g = y, ey, fy, gy
     raise ConvergenceFailure(
         f"inner solver stopped after {cfg.inner_max_iters} iterations "
         f"with residual {residuals[-1]:.3e} > {cfg.inner_tol:.3e}",
@@ -388,6 +415,8 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
 
     Records the energy of every state and the squared step distances; a
     convergence failure is re-raised with the offending step index attached.
+    One ``StepRecord`` goes through every step, so each step starts from the
+    pair energy and force its predecessor computed at the grid it returned.
     The certificate is taken once at the default radius of 10 whatever the
     support: for a potential the scheme accepts it does not depend on the
     radius (see ``convexity_certificate``).
@@ -398,9 +427,10 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     grids = np.empty((steps + 1, cfg.n))
     state = to_quantile_grid(init, cfg.n)
     grids[0] = state.values
+    record = StepRecord()
     for k in range(steps):
         try:
-            state = jko_step(W, state, cfg, cert)
+            state = jko_step(W, state, cfg, cert, record)
         except ConvergenceFailure as failure:
             failure.step_index = k
             raise

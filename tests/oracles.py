@@ -568,3 +568,18 @@ def reference_integrate(W, st0, t_end, dt):
             raise RuntimeError("particle ordering violated during integration")
         out.append(ParticleState(x, m, t))
     return out
+
+
+# --- the grid trajectory CSV, one value at a time --------------------------
+
+
+def per_value_grid_csv(path, times, grids, nodes):
+    """The ``t,i,s_i,X_i`` trajectory CSV with each value formatted on its
+    own (``"{:.17g}".format``) and each line joined by concatenation."""
+    fmt = "{:.17g}".format
+    columns = [f",{i},{fmt(s)}," for i, s in enumerate(np.asarray(nodes, dtype=float).tolist())]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,i,s_i,X_i\n")
+        for t, row in zip(np.asarray(times, dtype=float).tolist(), np.asarray(grids, dtype=float).tolist()):
+            ts = fmt(t)
+            fh.writelines(ts + c + fmt(x) + "\n" for c, x in zip(columns, row))

@@ -673,3 +673,19 @@ def test_particle_run_never_forms_its_grids(tmp_path, monkeypatch):
     config_path = _write(tmp_path / "config.json", GOLDEN_RUNS["exact"])
     assert main(["run", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("n", [1, 200, 600])
+def test_grid_trajectory_csv_matches_the_per_value_writer(tmp_path, n):
+    # n = 600 spans three row templates of the writer
+    from oracles import per_value_grid_csv
+    from wgflow.cli import _write_grid_trajectory
+    from wgflow.jko import FlowTrajectory
+    from wgflow.measures import midpoint_nodes
+
+    first = np.sort(np.resize([-0.0, 5e-324, 1e-5, 1e17, 1.0 / 3.0], n))
+    grids = np.array([first, -first[::-1]])
+    times = [0.0, 0.1]
+    _write_grid_trajectory(str(tmp_path / "fast.csv"), FlowTrajectory(times, grids, [0.0, 0.0], [0.0]))
+    per_value_grid_csv(tmp_path / "oracle.csv", times, grids, midpoint_nodes(n))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

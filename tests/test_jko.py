@@ -30,7 +30,8 @@ from wgflow import (
     weak_residual,
 )
 from oracles import lattice_isotonic
-from wgflow.potential import curvature_bound, evaluate, pair_energy
+from wgflow.jko import StepRecord
+from wgflow.potential import curvature_bound, evaluate, pair_energy, pair_energy_force
 from wgflow.transport import _row_w2sq
 
 REPULSIVE = Potential(eta=-1.0)
@@ -603,3 +604,92 @@ def test_run_flow_energies_are_the_pair_energies_of_its_grids(W):
     traj = run_flow(W, init, JkoConfig(tau=0.01, n=24, t_end=0.1))
     m = np.full(24, 1.0 / 24)
     assert np.array_equal(traj.energies, pair_energy(W, traj.grids, m))
+
+
+# README config (no curvature: projected gradient only), the power workload's
+# |x|^1.5 (Newton trials) and cusp+quadratic, each on fewer steps
+HAND_OFF_RUNS = {
+    "readme": (REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=1e-3, n=200, t_end=0.1)),
+    "power": (Potential(eta=-1.0, terms=((1.0, 1.5),)), Measure1D.dirac(0.3), JkoConfig(tau=1e-2, n=100, t_end=0.05)),
+    "cusp_quadratic": (
+        Potential(eta=-1.0, beta=1.0),
+        Measure1D(atoms=((-0.4, 0.3), (0.6, 0.7))),
+        JkoConfig(tau=1e-2, n=400, t_end=0.02),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_OFF_RUNS))
+def test_run_flow_equals_steps_taken_without_a_record(name):
+    from wgflow.jko import _trajectory
+
+    W, init, cfg = HAND_OFF_RUNS[name]
+    traj = run_flow(W, init, cfg)
+    state = to_quantile_grid(init, cfg.n)
+    grids = [state.values]
+    for _ in range(cfg.step_count()):
+        state = jko_step(W, state, cfg, convexity_certificate(W))
+        grids.append(state.values)
+    grids = np.array(grids)
+    alone = _trajectory(W, traj.times, lambda lo, hi: grids[lo:hi], cfg.n)
+    assert np.array_equal(traj.grids, grids)
+    assert np.array_equal(traj.energies, alone.energies)
+    assert np.array_equal(traj.step_costs, alone.step_costs)
+
+
+@pytest.mark.parametrize("stale", ["grid", "potential"])
+def test_step_ignores_a_record_of_another_grid_or_potential(stale):
+    W = Potential(eta=-1.0, terms=((0.5, 1.5),))
+    cfg = JkoConfig(tau=0.01, n=24, t_end=1.0)
+    init = to_quantile_grid(Measure1D(atoms=((-0.5, 0.25), (0.25, 0.5), (0.5, 0.25))), 24)
+    record = StepRecord()
+    prev = jko_step(Potential(eta=-1.0, beta=1.0) if stale == "potential" else W, init, cfg, record=record)
+    if stale == "grid":
+        # equal values in another object; an energy and force that would
+        # move the step if it took them
+        prev = QuantileGrid(prev.values)
+        record.energy, record.force = 0.0, np.zeros(24)
+    alone = jko_step(W, prev, cfg)
+    out = jko_step(W, prev, cfg, record=record)
+    assert np.array_equal(out.values, alone.values)
+    # the record now hands on the returned grid
+    assert record.grid is out and record.W is W
+    energy, force = pair_energy_force(W, out.values, np.full(24, 1.0 / 24), cone=True)
+    assert record.energy == energy and np.array_equal(record.force, force)
+
+
+def _count_pair_passes(monkeypatch, energy=None):
+    """Count ``jko``'s ``pair_energy_force`` calls; ``energy(k, e)`` may
+    replace the energy of call ``k``."""
+    import wgflow.jko as jko
+
+    real, calls = jko.pair_energy_force, []
+
+    def counted(W, x, m, cone):
+        e, f = real(W, x, m, cone=cone)
+        calls.append(None)
+        return (e if energy is None else energy(len(calls) - 1, e)), f
+
+    monkeypatch.setattr(jko, "pair_energy_force", counted)
+    return calls
+
+
+def test_readme_flow_takes_one_pair_pass_per_step_and_one_more(monkeypatch):
+    calls = _count_pair_passes(monkeypatch)
+    cfg = JkoConfig(tau=1e-3, n=200, t_end=1.0)
+    run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
+    assert len(calls) == cfg.step_count() + 1
+
+
+def test_run_flow_failure_carries_its_step_index(monkeypatch):
+    # steps 0..2 take calls 0..3 (two for the first, then one each); from
+    # call 4, step 3's first trial, no energy is low enough to accept
+    _count_pair_passes(monkeypatch, lambda k, e: e if k < 4 else 1e300)
+    cfg = JkoConfig(tau=0.01, n=16, t_end=0.1)
+    with pytest.raises(ConvergenceFailure, match="backtracking") as info:
+        run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
+    assert info.value.step_index == 3
+    monkeypatch.undo()
+    before = run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.03))
+    assert info.value.last == before.state(3)
+    assert info.value.residual == np.inf

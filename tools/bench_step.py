@@ -24,7 +24,8 @@ interpreter: ``minor_faults``, the minor page faults it takes, and
 (``two_trees.least_time``), and ``calls``, how often one more call invokes
 ``pair_energy_force``, ``pair_hessian`` and ``pair_energy`` through the
 names ``wgflow.jko`` binds.  Faults and peak RSS move by a few between
-passes, so, like the times, the least over the passes is kept.  The sha256
+passes, so, like the times, the least over the passes is kept;
+``run_flow_s_spread`` is the largest pass's time over the least.  The sha256
 of the grids, energies and step costs must agree between the trees.
 """
 
@@ -125,9 +126,9 @@ def report(base: dict, change: dict) -> dict:
     return {
         "command": "python3 tools/bench_step.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "timing": f"least of {PASSES} x {ROUNDS} rounds of seconds per call (timeit autorange), faults and "
-        f"ru_maxrss the least of {PASSES} first calls, each config in a fresh interpreter per pass, "
-        f"{PASSES} passes per tree, the trees in turn",
+        "timing": f"least of {PASSES} x {ROUNDS} rounds of seconds per call (timeit autorange), its spread "
+        f"the largest pass over the least; faults and ru_maxrss the least of {PASSES} first calls, each config "
+        f"in a fresh interpreter per pass, {PASSES} passes per tree, the trees in turn",
         "results": {"base": base, "change": change},
         "ratios": ratios,
     }

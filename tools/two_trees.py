@@ -5,7 +5,8 @@ A tool calls ``main(script, doc, measure, report, passes)``.  Run with
 tree, first BASE and then this checkout, each importing ``wgflow`` from that
 tree's ``src``, and does so ``passes`` times in turn.  Each tree's passes
 merge into one result (``_merge``): the least of each time, page-fault
-count and peak RSS, every other value the same in every pass.  ``report(base, change)`` gets the two merged
+count and peak RSS, beside each time its spread over the passes, every other
+value the same in every pass.  ``report(base, change)`` gets the two merged
 results, refuses a mismatch with ``SystemExit`` and returns the JSON object
 printed on stdout.  Run with ``--measure``, the script prints ``measure()``
 of the ``wgflow`` on ``sys.path`` as JSON.  ``least_time`` is the per-call
@@ -46,15 +47,27 @@ def _merge(passes: list, key: str = ""):
     """One result from a tree's passes: a number under a key ``s`` or ending
     in ``_s`` is a time, one ending in ``_faults`` or ``_kib`` a page-fault
     count or a peak RSS, and the least is kept, as a busy host only adds to
-    them; any other value must be the same in every pass."""
+    them; beside each time, under its key plus ``_spread``, goes the largest
+    pass over the least, which is 1.0 when the passes repeat.  Any other
+    value must be the same in every pass."""
     first = passes[0]
     if isinstance(first, dict):
-        return {k: _merge([p[k] for p in passes], k) for k in first}
-    if key == "s" or key.endswith(("_s", "_faults", "_kib")):
+        merged = {}
+        for k in first:
+            values = [p[k] for p in passes]
+            merged[k] = _merge(values, k)
+            if _is_time(k):
+                merged[f"{k}_spread"] = max(values) / min(values)
+        return merged
+    if _is_time(key) or key.endswith(("_faults", "_kib")):
         return min(passes)
     if any(p != first for p in passes):
         raise SystemExit(f"{key} differs between passes of one tree")
     return first
+
+
+def _is_time(key: str) -> bool:
+    return key == "s" or key.endswith("_s")
 
 
 def main(script: str, doc: str, measure, report, passes: int = 1) -> int:

@@ -79,9 +79,7 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _error_record(kind: str, code: int, **extra) -> int:
-    record = {"error": kind, "exit_code": code}
-    record.update(extra)
-    print(json.dumps(record), file=sys.stderr)
+    print(json.dumps({"error": kind, "exit_code": code, **extra}), file=sys.stderr)
     return code
 
 
@@ -171,7 +169,7 @@ class ExperimentConfig:
             t_end=_number(d, "t_end", 1.0),
             inner_tol=None if d.get("inner_tol") is None else _number(d, "inner_tol", None),
             inner_max_iters=_integer(d, "inner_max_iters", 500),
-            out_dir=str(d.get("out_dir", "out")),
+            out_dir=d.get("out_dir", "out"),
             diagnostics=dict(_object(d.get("diagnostics", {}), "diagnostics", _DIAGNOSTICS)),
         )
         cfg.validate()
@@ -188,6 +186,8 @@ class ExperimentConfig:
             raise ConfigError("inner_tol", "must be positive")
         if self.inner_max_iters < 1:
             raise ConfigError("inner_max_iters", "must be at least 1")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir", f"must be a string, got {self.out_dir!r}")
         if self.method == "jko":
             if not self.potential.jko_eligible:
                 raise ConfigError(
@@ -249,58 +249,53 @@ class ExperimentConfig:
         }
 
 
-# Rows per format template of the grid trajectory writer.  One template of
-# all n rows, one ``%`` per state, left a cusp+quadratic run at n = 4000 with
-# a peak RSS 0.6 MB higher; 256 rows keep each formatted string near 10 KB.
+# Rows per format template, and records per block of formatted times, of the
+# CSV writers.  A template of all n rows left a cusp+quadratic run at n = 4000
+# with a peak RSS 0.6 MB higher; 256 rows keep each string near 10 KB.
 _TEMPLATE_ROWS = 256
 
 
-def _write_grid_trajectory(path: str, traj: FlowTrajectory):
-    n = traj.grid_size
-    nodes = midpoint_nodes(n)
-    # per chunk of rows, one template of the rows "\0,i,s_i,%.17g\n": the
-    # ",i,s_i," columns are the same for every state, "\0" takes its time
-    blocks = []
-    for lo in range(0, n, _TEMPLATE_ROWS):
-        cut = slice(lo, min(lo + _TEMPLATE_ROWS, n))
-        rows = zip(range(cut.start, cut.stop), _fmts(nodes[cut]))
-        blocks.append((cut, "".join(f"\0,{i},{s},%.17g\n" for i, s in rows)))
+def _templates(form: str, constants) -> list:
+    """``(cut, template)`` per chunk ``cut`` of at most ``_TEMPLATE_ROWS`` rows:
+    ``form.format(i, constants[i])`` of each row ``i`` of the chunk, joined."""
+    out = []
+    for lo in range(0, len(constants), _TEMPLATE_ROWS):
+        cut = slice(lo, lo + _TEMPLATE_ROWS)
+        out.append((cut, "".join(map(form.format, range(lo, len(constants)), constants[cut].tolist()))))
+    return out
+
+
+def _write_records(path: str, head: str, parts):
+    """Write ``head``, then record k of each ``(times, rows, templates)`` of ``parts``:
+    each template, its ``"\\0"`` the time ``times[k]``, ``%`` its cut of ``rows[k]``."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,i,s_i,X_i\n")
-        for ts, row in zip(_fmts(traj.times), traj.grids):
-            for cut, template in blocks:
-                fh.write(template.replace("\0", ts) % tuple(row[cut].tolist()))
+        fh.write(head)
+        for times, rows, templates in parts:
+            for lo in range(0, len(times), _TEMPLATE_ROWS):
+                block = slice(lo, lo + _TEMPLATE_ROWS)
+                for ts, row in zip(_fmts(times[block]), rows[block]):
+                    fh.writelines(t.replace("\0", ts) % tuple(row[cut].tolist()) for cut, t in templates)
+
+
+def _write_grid_trajectory(path: str, traj: FlowTrajectory):
+    templates = _templates("\0,{},{:.17g},%.17g\n", midpoint_nodes(traj.grid_size))
+    _write_records(path, "t,i,s_i,X_i\n", [(traj.times, traj.grids, templates)])
 
 
 def _write_particle_trajectory(path: str, history: ParticleHistory):
-    stamps = _fmts(history.times)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,i,x_i,m_i\n")
-        for masses, positions in history.segments:
-            # the ",i," and ",m_i" columns are the same for every record of a segment
-            heads = [f",{i}," for i in range(masses.size)]
-            tails = [f",{m}\n" for m in _fmts(masses)]
-            xs = _fmts(positions)
-            # one tuple of formatted positions per record
-            for row in zip(*[xs] * masses.size):
-                ts = next(stamps)
-                fh.writelines(ts + h + x + m for h, x, m in zip(heads, row, tails))
+    times = np.split(history.times, np.cumsum([len(x) for _, x in history.segments[:-1]]))
+    parts = ((t, x, _templates("\0,{},%.17g,{:.17g}\n", m)) for t, (m, x) in zip(times, history.segments))
+    _write_records(path, "t,i,x_i,m_i\n", parts)
 
 
 def _write_summary(path: str, traj: FlowTrajectory):
     from .analytic import metric_derivative_estimate
 
     speeds = metric_derivative_estimate(traj) if traj.times.size > 1 else np.array([])
+    rows = np.column_stack((traj.energies[1:], speeds, traj.step_costs))
     # the first state has no step behind it: its speed and cost are empty
-    rows = zip(
-        _fmts(traj.times),
-        _fmts(traj.energies),
-        itertools.chain([""], _fmts(speeds)),
-        itertools.chain([""], _fmts(traj.step_costs)),
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write("t,energy,metric_derivative,step_cost\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+    head = "t,energy,metric_derivative,step_cost\n%.17g,%.17g,,\n" % (traj.times[0], traj.energies[0])
+    _write_records(path, head, [(traj.times[1:], rows, [(slice(None), "\0,%.17g,%.17g,%.17g\n")])])
 
 
 def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
@@ -361,7 +356,10 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         return _error_record("config", EXIT_CONFIG, field=exc.field_name, message=str(exc))
     if out_dir is not None:
         cfg.out_dir = out_dir
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        return _error_record("output", EXIT_CONFIG, field="out_dir", message=str(exc))
 
     try:
         if cfg.method == "jko":
@@ -403,16 +401,8 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         # written last, the grid CSV's short-lived strings reuse heap that the
         # diagnostics freed; written before them, it left peak RSS higher
         _write_grid_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), traj)
-    manifest = {
-        "config": cfg.resolved_dict(),
-        "seed": seed,
-        "version": __version__,
-        "outputs": sorted(
-            name
-            for name in ("trajectory.csv", "summary.csv", "manifest.json")
-            + (("diagnostics.json",) if diagnostics else ())
-        ),
-    }
+    outputs = ["trajectory.csv", "summary.csv", "manifest.json"] + (["diagnostics.json"] if diagnostics else [])
+    manifest = {"config": cfg.resolved_dict(), "seed": seed, "version": __version__, "outputs": sorted(outputs)}
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -448,14 +438,18 @@ def cmd_ot(path: str, plan_out: str | None = None) -> int:
         return _error_record("simplex", EXIT_SOLVER, pivots=exc.pivots, message=str(exc))
     except DomainError as exc:
         return _error_record("domain", EXIT_CONFIG, message=str(exc))
+    if plan_out is not None:
+        # written before anything is printed, so a refused path prints nothing
+        try:
+            with open(plan_out, "w", newline="") as fh:
+                for row in plan.x:
+                    fh.write(",".join(_fmts(row)) + "\n")
+        except OSError as exc:
+            return _error_record("output", EXIT_CONFIG, field="plan_out", message=str(exc))
     gap = abs(plan.objective - dual.objective)
     print(f"primal {_fmt(plan.objective)}")
     print(f"dual {_fmt(dual.objective)}")
     print(f"gap {_fmt(gap)}")
-    if plan_out is not None:
-        with open(plan_out, "w", newline="") as fh:
-            for row in plan.x:
-                fh.write(",".join(_fmts(row)) + "\n")
     return EXIT_OK
 
 

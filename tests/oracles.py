@@ -570,7 +570,7 @@ def reference_integrate(W, st0, t_end, dt):
     return out
 
 
-# --- the grid trajectory CSV, one value at a time --------------------------
+# --- the run CSVs, one value at a time ---------------------------------------
 
 
 def per_value_grid_csv(path, times, grids, nodes):
@@ -583,3 +583,34 @@ def per_value_grid_csv(path, times, grids, nodes):
         for t, row in zip(np.asarray(times, dtype=float).tolist(), np.asarray(grids, dtype=float).tolist()):
             ts = fmt(t)
             fh.writelines(ts + c + fmt(x) + "\n" for c, x in zip(columns, row))
+
+
+def per_value_particle_csv(path, times, segments):
+    """The ``t,i,x_i,m_i`` particle trajectory CSV of ``segments`` of
+    ``(masses, positions)``, one row of ``positions`` per record at
+    ``times``, with each value formatted on its own and each line joined by
+    concatenation."""
+    fmt = "{:.17g}".format
+    stamps = iter(np.asarray(times, dtype=float).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("t,i,x_i,m_i\n")
+        for masses, positions in segments:
+            tails = [f",{fmt(m)}\n" for m in np.asarray(masses, dtype=float).tolist()]
+            for row in np.asarray(positions, dtype=float).tolist():
+                ts = fmt(next(stamps))
+                fh.writelines(ts + f",{i}," + fmt(x) + m for i, (x, m) in enumerate(zip(row, tails)))
+
+
+def per_value_summary_csv(path, times, energies, speeds, step_costs):
+    """The ``t,energy,metric_derivative,step_cost`` summary CSV, each value
+    formatted on its own; the first record has no step behind it, so its
+    speed and cost are empty."""
+    fmt = "{:.17g}".format
+    times, energies, speeds, step_costs = (
+        np.asarray(a, dtype=float).tolist() for a in (times, energies, speeds, step_costs)
+    )
+    steps = [","] + [fmt(v) + "," + fmt(c) for v, c in zip(speeds, step_costs)]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,energy,metric_derivative,step_cost\n")
+        for t, e, step in zip(times, energies, steps):
+            fh.write(fmt(t) + "," + fmt(e) + "," + step + "\n")

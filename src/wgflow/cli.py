@@ -21,6 +21,7 @@ import math
 import operator
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -278,8 +279,10 @@ def _write_records(path: str, head: str, parts):
 
 
 def _write_grid_trajectory(path: str, traj: FlowTrajectory):
+    # one part per block of rows that ``row_blocks`` reads
     templates = _templates("\0,{},{:.17g},%.17g\n", midpoint_nodes(traj.grid_size))
-    _write_records(path, "t,i,s_i,X_i\n", [(traj.times, traj.grids, templates)])
+    parts = ((traj.times[s], block[: s.stop - s.start], templates) for s, _, block in traj.row_blocks())
+    _write_records(path, "t,i,s_i,X_i\n", parts)
 
 
 def _write_particle_trajectory(path: str, history: ParticleHistory):
@@ -298,20 +301,23 @@ def _write_summary(path: str, traj: FlowTrajectory):
     _write_records(path, head, [(traj.times[1:], rows, [(slice(None), "\0,%.17g,%.17g,%.17g\n")])])
 
 
+def _write_json(path: str, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
     from .analytic import KIND_ATTRACTIVE, KIND_REPULSIVE, ExactSolution, exact_grid
-    from .jko import _trajectory
+    from .jko import _spill, _trajectory
 
     pot = cfg.potential
     kind = KIND_REPULSIVE if pot.eta < 0.0 else KIND_ATTRACTIVE
     sol = ExactSolution(kind=kind, init=cfg.initial, eta_abs=abs(pot.eta))
     steps = max(1, round(cfg.t_end / cfg.tau))
     times = np.arange(steps + 1) * (cfg.t_end / steps)
-    grids = np.empty((steps + 1, cfg.n))
-    for k, t in enumerate(times.tolist()):
-        grids[k] = exact_grid(sol, t, cfg.n).values
-    grids.flags.writeable = False
-    return _trajectory(pot, times, lambda lo, hi: grids[lo:hi], cfg.n)
+    read = _spill((exact_grid(sol, t, cfg.n).values for t in times.tolist()), cfg.n)
+    return _trajectory(pot, times, read, cfg.n)
 
 
 def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
@@ -361,6 +367,14 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
     except OSError as exc:
         return _error_record("output", EXIT_CONFIG, field="out_dir", message=str(exc))
 
+    # the output file being written; None while a run spills its states
+    target = None
+
+    def output(name: str) -> str:
+        nonlocal target
+        target = os.path.join(cfg.out_dir, name)
+        return target
+
     try:
         if cfg.method == "jko":
             traj = run_flow(cfg.potential, cfg.initial, cfg.jko_config())
@@ -372,12 +386,21 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
             merged = [(x, sum(m for _, m in atoms)) for x, atoms in groups]
             st0 = ParticleState([x for x, _ in merged], [m for _, m in merged], 0.0)
             history = integrate(cfg.potential, st0, cfg.t_end, cfg.dt)
-            _write_particle_trajectory(
-                os.path.join(cfg.out_dir, "trajectory.csv"), history
-            )
+            _write_particle_trajectory(output("trajectory.csv"), history)
             traj = quantile_trajectory(cfg.potential, history, cfg.n)
         else:
             traj = _exact_trajectory(cfg)
+        _write_summary(output("summary.csv"), traj)
+        diagnostics = _run_diagnostics(cfg, traj)
+        if diagnostics:
+            _write_json(output("diagnostics.json"), diagnostics)
+        if cfg.method != "particles":
+            # written last, the grid CSV's short-lived strings reuse heap that the
+            # diagnostics freed; written before them, it left peak RSS higher
+            _write_grid_trajectory(output("trajectory.csv"), traj)
+        outputs = ["trajectory.csv", "summary.csv", "manifest.json"] + (["diagnostics.json"] if diagnostics else [])
+        manifest = {"config": cfg.resolved_dict(), "seed": seed, "version": __version__, "outputs": sorted(outputs)}
+        _write_json(output("manifest.json"), manifest)
     except ConvergenceFailure as failure:
         return _error_record(
             "convergence",
@@ -390,22 +413,10 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         )
     except DomainError as exc:
         return _error_record("domain", EXIT_CONFIG, message=str(exc))
-
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), traj)
-    diagnostics = _run_diagnostics(cfg, traj)
-    if diagnostics:
-        with open(os.path.join(cfg.out_dir, "diagnostics.json"), "w") as fh:
-            json.dump(diagnostics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if cfg.method != "particles":
-        # written last, the grid CSV's short-lived strings reuse heap that the
-        # diagnostics freed; written before them, it left peak RSS higher
-        _write_grid_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), traj)
-    outputs = ["trajectory.csv", "summary.csv", "manifest.json"] + (["diagnostics.json"] if diagnostics else [])
-    manifest = {"config": cfg.resolved_dict(), "seed": seed, "version": __version__, "outputs": sorted(outputs)}
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    except OSError as exc:
+        # an output file, or the spill in the temporary directory (None when
+        # no directory could be used)
+        return _error_record("output", EXIT_CONFIG, file=target or tempfile.tempdir, message=str(exc))
     if not quiet:
         final_energy = traj.energies[-1]
         print(f"wrote {cfg.out_dir}: final t={_fmt(traj.times[-1])} energy={_fmt(final_energy)}")

@@ -15,6 +15,8 @@ prox-gradient residual was measured and met the tolerance.
 from __future__ import annotations
 
 import math
+import tempfile
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +139,9 @@ class FlowTrajectory:
     ``FlowTrajectory(times, grids, energies, step_costs)`` reads them off one
     ``(K+1, n)`` array, which it freezes: one handed in as C-contiguous
     float64 is not copied, and ``rows`` returns views of it.  A trajectory
-    that ``_trajectory`` makes reads them from its reader, which may build
-    each block when it is read (as ``particles.quantile_trajectory``'s does);
+    that ``_trajectory`` makes reads them from its reader when they are
+    read: from a temporary file (``_spill``) for ``run_flow`` and exact
+    runs, or built off a particle history (``particles.quantile_trajectory``);
     ``grids``, all ``(K+1, n)`` rows, is then built each time it is read.
     """
 
@@ -202,6 +205,31 @@ def _row_blocks(read, count: int, n: int):
         hi = min(lo + step, count)
         block = read(lo, min(hi + 1, count))
         yield slice(lo, hi), slice(lo, lo + block.shape[0] - 1), block
+
+
+def _spill(rows, n: int):
+    """Write each C-contiguous float64 row of length ``n`` that ``rows``
+    yields to an anonymous temporary file (``tempfile.TemporaryFile``, in
+    ``TMPDIR``), and return ``read(lo, hi)``: rows ``lo..hi-1`` read back as
+    a read-only C-contiguous ``(hi - lo, n)`` array.  The file is closed when
+    ``read`` is collected, or before the error propagates if ``rows``
+    raises.  It is read, not mapped: the pages of a mapped file count in
+    the resident set once they are touched."""
+    fh = tempfile.TemporaryFile()
+    try:
+        for row in rows:
+            fh.write(row)
+    except BaseException:
+        fh.close()
+        raise
+    size = 8 * n
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        fh.seek(lo * size)
+        return np.frombuffer(fh.read((hi - lo) * size)).reshape(hi - lo, n)
+
+    weakref.finalize(read, fh.close)
+    return read
 
 
 def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory:
@@ -417,6 +445,8 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     convergence failure is re-raised with the offending step index attached.
     One ``StepRecord`` goes through every step, so each step starts from the
     pair energy and force its predecessor computed at the grid it returned.
+    Each state is spilled to a temporary file as it is made (``_spill``), so
+    the run holds no array of all its states.
     The certificate is taken once at the default radius of 10 whatever the
     support: for a potential the scheme accepts it does not depend on the
     radius (see ``convexity_certificate``).
@@ -424,19 +454,20 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     cert = convexity_certificate(W)
     cfg.validate_step_bound(cert)
     steps = cfg.step_count()
-    grids = np.empty((steps + 1, cfg.n))
-    state = to_quantile_grid(init, cfg.n)
-    grids[0] = state.values
-    record = StepRecord()
-    for k in range(steps):
-        try:
-            state = jko_step(W, state, cfg, cert, record)
-        except ConvergenceFailure as failure:
-            failure.step_index = k
-            raise
-        grids[k + 1] = state.values
-    grids.flags.writeable = False
-    return _trajectory(W, np.arange(steps + 1) * cfg.tau, lambda lo, hi: grids[lo:hi], cfg.n)
+
+    def states():
+        state = to_quantile_grid(init, cfg.n)
+        yield state.values
+        record = StepRecord()
+        for k in range(steps):
+            try:
+                state = jko_step(W, state, cfg, cert, record)
+            except ConvergenceFailure as failure:
+                failure.step_index = k
+                raise
+            yield state.values
+
+    return _trajectory(W, np.arange(steps + 1) * cfg.tau, _spill(states(), cfg.n), cfg.n)
 
 
 def evi_residual(W: Potential, traj: FlowTrajectory, sigma: QuantileGrid) -> np.ndarray:

@@ -171,6 +171,37 @@ def test_run_refuses_an_output_directory_at_a_file(tmp_path, capsys, via, below)
     assert blocker.read_text() == "kept"
 
 
+@pytest.mark.parametrize("method", ["jko", "particles"])
+@pytest.mark.parametrize("name", ["trajectory.csv", "summary.csv", "diagnostics.json", "manifest.json"])
+def test_run_refuses_an_output_file_it_cannot_write(tmp_path, capsys, method, name):
+    """An output file that cannot be opened, here a directory, is refused
+    with exit 2 and an ``"output"`` record naming it, not a traceback."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    config_path = _write(tmp_path / "c.json", GOLDEN_RUNS[method])
+    assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert (record["error"], record["exit_code"], record["file"]) == ("output", 2, str(out / name))
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["jko", "exact"])
+def test_run_refuses_a_temporary_directory_it_cannot_write(tmp_path, capsys, monkeypatch, method):
+    # implicit and exact runs spill their states to the temporary directory
+    import tempfile
+
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(tempfile, "tempdir", missing)
+    out = tmp_path / "out"
+    config_path = _write(tmp_path / "c.json", GOLDEN_RUNS[method])
+    assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert (record["error"], record["exit_code"], record["file"]) == ("output", 2, missing)
+    assert captured.out == "" and os.listdir(out) == []
+
+
 def test_run_and_w2_refuse_non_object_files(tmp_path, capsys):
     assert main(["run", "--config", _write(tmp_path / "c.json", [REPULSIVE_DIRAC_RUN])]) == 2
     assert json.loads(capsys.readouterr().err.strip())["field"] == "config"
@@ -727,6 +758,49 @@ def test_particle_run_memory_stays_far_below_its_grids(tmp_path):
     assert peak < MEMORY_BOUND_MB
 
 
+# An implicit and an exact run of 301 records on 4000 nodes: their grids as
+# one (records, n) array would take 9.6 MB, more than MEMORY_BOUND_MB
+GRID_MEMORY_RUNS = {
+    "jko": {
+        "potential": {"eta": -1.0},
+        "initial": {"atoms": [[0.0, 1.0]]},
+        "method": "jko",
+        "tau": 0.01,
+        "n": 4000,
+        "t_end": 3.0,
+    },
+    "exact": {
+        "potential": {"eta": 1.0},
+        "initial": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+        "method": "exact",
+        "tau": 0.01,
+        "n": 4000,
+        "t_end": 3.0,
+    },
+}
+
+
+@pytest.mark.parametrize("method", sorted(GRID_MEMORY_RUNS))
+def test_grid_run_memory_stays_below_its_grids(tmp_path, method):
+    """The run, its summary, diagnostics and grid CSV together: the states
+    are spilled to a file and read back in row blocks."""
+    from wgflow import cli
+    from wgflow.jko import run_flow
+
+    cfg = cli.ExperimentConfig.from_json_dict(dict(GRID_MEMORY_RUNS[method], diagnostics=GOLDEN_DIAGNOSTICS))
+    records = round(cfg.t_end / cfg.tau) + 1
+    assert records * cfg.n * 8 > MEMORY_BOUND_MB * 2**20
+
+    def run():
+        traj = run_flow(cfg.potential, cfg.initial, cfg.jko_config()) if method == "jko" else cli._exact_trajectory(cfg)
+        assert traj.times.size == records
+        cli._write_summary(str(tmp_path / "summary.csv"), traj)
+        assert sorted(cli._run_diagnostics(cfg, traj)) == ["energy_identity_residual", "evi_max_residual", "weak_residual"]
+        cli._write_grid_trajectory(str(tmp_path / "trajectory.csv"), traj)
+
+    assert _traced_peak_mb(run) < MEMORY_BOUND_MB
+
+
 def test_particle_run_never_forms_its_grids(tmp_path, monkeypatch):
     from wgflow.jko import FlowTrajectory
 
@@ -736,10 +810,13 @@ def test_particle_run_never_forms_its_grids(tmp_path, monkeypatch):
     config_path = _write(tmp_path / "config.json", GOLDEN_RUNS["particles_blocks"])
     assert main(["run", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert reads == []
-    # a run that writes its grids does read them through the patched property
-    config_path = _write(tmp_path / "config.json", GOLDEN_RUNS["exact"])
-    assert main(["run", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert len(reads) == 1
+    # nor does a run that writes its grids: the grid CSV reads them in row
+    # blocks through ``rows``
+    for method in ("exact", "jko"):
+        config_path = _write(tmp_path / "config.json", GOLDEN_RUNS[method])
+        assert main(["run", "--config", config_path, "--out", str(tmp_path / method), "--quiet"]) == 0
+        assert (tmp_path / method / "trajectory.csv").stat().st_size > 0
+    assert reads == []
 
 
 @pytest.mark.parametrize("n", [1, 200, 600])

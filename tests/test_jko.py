@@ -1,5 +1,7 @@
 """Implicit stepping: projection, single steps, full flows, and identities."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -632,7 +634,13 @@ def test_run_flow_equals_steps_taken_without_a_record(name):
         grids.append(state.values)
     grids = np.array(grids)
     alone = _trajectory(W, traj.times, lambda lo, hi: grids[lo:hi], cfg.n)
-    assert np.array_equal(traj.grids, grids)
+    # the run's rows, read back from its spill file, are read-only and the
+    # steps' bit for bit
+    for states, steps, block in traj.row_blocks():
+        assert block.dtype == float and block.flags.c_contiguous and not block.flags.writeable
+        assert block.tobytes() == grids[states.start : steps.stop + 1].tobytes()
+    assert traj.grids.tobytes() == grids.tobytes() and not traj.grids.flags.writeable
+    assert traj.state(-1) == state
     assert np.array_equal(traj.energies, alone.energies)
     assert np.array_equal(traj.step_costs, alone.step_costs)
 
@@ -693,3 +701,22 @@ def test_run_flow_failure_carries_its_step_index(monkeypatch):
     before = run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.03))
     assert info.value.last == before.state(3)
     assert info.value.residual == np.inf
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_spill_file_closes_with_its_trajectory_or_on_failure(monkeypatch):
+    before = _open_fds()
+    traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
+    assert _open_fds() == before + 1
+    del traj
+    assert _open_fds() == before
+    # a failure mid-run closes the file before it propagates
+    _count_pair_passes(monkeypatch, lambda k, e: e if k < 4 else 1e300)
+    with pytest.raises(ConvergenceFailure) as info:
+        run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
+    assert info.value.step_index == 3
+    assert _open_fds() == before

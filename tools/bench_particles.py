@@ -29,14 +29,17 @@ For each, four operations are timed, each the least over all passes of
 
 ``adapter_summary_peak_kib`` is the ``tracemalloc`` peak, in KiB, of
 ``quantile_trajectory`` followed by ``cli._write_summary`` of its result,
-from a history already integrated.  The two histories are checked to agree
+from a history already integrated, and ``summary_writer_peak_kib`` the
+writer's own: its peak above what the trajectory held when it started.
+Where the combined peak is reached inside ``quantile_trajectory``, only the
+second shows a change to the writer.  The two histories are checked to agree
 bit for bit, and the ``ode_rhs`` calls of one run of each integrator are
 counted.
 
 ``wgflow_run``: one ``wgflow run`` process on the ``particles_ot`` workload's
 particle config (seed 1), at ``dt`` 1e-3 and 1e-4, per pass; its
 ``max_rss_kib`` is the process's ``ru_maxrss`` as ``perfbench/launch.py``
-reads it.  Every peak is the least over the passes.  The sha256 of each
+reads it (``two_trees.wgflow_run``).  Every peak is the least over the passes.  The sha256 of each
 run's ``summary.csv`` and of each trajectory's energies and step costs must
 agree between the trees.
 """
@@ -47,7 +50,6 @@ import hashlib
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -123,8 +125,10 @@ def _bench(xs, ms, t_end: float, dt: float, out_dir: str) -> dict:
     path = os.path.join(out_dir, "trajectory.csv")
     tracemalloc.start()
     traj = particles.quantile_trajectory(cusp, history, N_GRID)
+    held, adapter_peak = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
     cli._write_summary(os.path.join(out_dir, "summary.csv"), traj)
-    peak = tracemalloc.get_traced_memory()[1]
+    writer_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {
         "particles": xs.size,
@@ -134,7 +138,8 @@ def _bench(xs, ms, t_end: float, dt: float, out_dir: str) -> dict:
         "reference_ode_rhs_calls": ref_calls,
         "energies_sha256": _digest(traj.energies),
         "step_costs_sha256": _digest(traj.step_costs),
-        "adapter_summary_peak_kib": peak / 1024.0,
+        "adapter_summary_peak_kib": max(adapter_peak, writer_peak) / 1024.0,
+        "summary_writer_peak_kib": (writer_peak - held) / 1024.0,
         "integrate_s": two_trees.least_time(lambda: particles.integrate(*args), ROUNDS),
         "reference_integrate_s": two_trees.least_time(lambda: reference_integrate(*args), ROUNDS),
         "quantile_trajectory_s": two_trees.least_time(
@@ -142,24 +147,6 @@ def _bench(xs, ms, t_end: float, dt: float, out_dir: str) -> dict:
         ),
         "write_trajectory_s": two_trees.least_time(lambda: cli._write_particle_trajectory(path, history), ROUNDS),
     }
-
-
-def _wgflow_run(config_path: str, out_dir: str) -> dict:
-    """Peak RSS of one ``wgflow run`` process and its summary's sha256.  The
-    process is spawned by ``perfbench/launch.py``, which is small: at
-    ``exec`` Linux carries the spawning process's peak into the child's."""
-    launch = os.path.join(two_trees.ROOT, "perfbench", "launch.py")
-    logs = [out_dir + ext for ext in (".out", ".err")]
-    argv = [sys.executable, "-m", "wgflow.cli", "run", "--config", config_path, "--out", out_dir, "--quiet"]
-    line = subprocess.run(
-        [sys.executable, "-S", launch, *logs, "600", "--", *argv], check=True, capture_output=True, text=True
-    ).stdout
-    _, kib, code = line.split()
-    if code != "0":
-        raise SystemExit(f"wgflow run exited with {code}")
-    with open(os.path.join(out_dir, "summary.csv"), "rb") as fh:
-        summary = hashlib.sha256(fh.read()).hexdigest()
-    return {"max_rss_kib": int(kib), "summary_sha256": summary}
 
 
 def measure() -> dict:
@@ -174,7 +161,7 @@ def measure() -> dict:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w") as fh:
                 json.dump(dict(cfg, dt=dt), fh)
-            runs[name] = _wgflow_run(path, os.path.join(tmp, name))
+            runs[name] = two_trees.wgflow_run(path, os.path.join(tmp, name))
     results["wgflow_run"] = runs
     return results
 
@@ -202,8 +189,8 @@ def report(base: dict, change: dict) -> dict:
         for key in change[name]:
             if key.endswith("_s"):
                 ratios[f"{name}_{key[:-2]}_speedup"] = base[name][key] / change[name][key]
-        key = "adapter_summary_peak_kib"
-        ratios[f"{name}_{key[:-4]}_ratio"] = change[name][key] / base[name][key]
+        for key in ("adapter_summary_peak_kib", "summary_writer_peak_kib"):
+            ratios[f"{name}_{key[:-4]}_ratio"] = change[name][key] / base[name][key]
     for name in RUN_DTS:
         ratios[f"wgflow_run_{name}_max_rss_ratio"] = (
             change["wgflow_run"][name]["max_rss_kib"] / base["wgflow_run"][name]["max_rss_kib"]

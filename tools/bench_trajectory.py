@@ -31,8 +31,15 @@ per call (``two_trees.least_time``):
   first 40x40 instance, ``ROUNDS`` processes per pass.
 
 The ``wgflow`` modules that ``ot`` process imports are read off
-``-X importtime``.  The sha256 of every energy and velocity array, and the
-weak residual's hex, must agree between the trees.
+``-X importtime``.
+
+``readme_run``: one ``wgflow run`` process of the README job per entry of
+``RUN_T_ENDS``, at 1,001 and 5,001 records, per pass; its ``max_rss_kib``
+is the child's ``ru_maxrss`` (``two_trees.wgflow_run``), the least over
+the passes.  The report gives each tree's growth from the one to the other.
+
+The sha256 of every energy and velocity array and run summary, and the weak
+residual's hex, must agree between the trees.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ from perfbench.workloads import build  # noqa: E402
 
 PASSES = 4
 ROUNDS = 5
+# t_end of each README run whose peak RSS is read: 1,001 and 5,001 records
+RUN_T_ENDS = {"records_1001": 1.0, "records_5001": 5.0}
 
 
 def _digest(a) -> str:
@@ -99,6 +108,14 @@ def measure() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cfgs = _configs(tmp)
         modules, ot_s = _ot_process(tmp)
+        with open(os.path.join(tmp, "readme.json")) as fh:
+            readme = json.load(fh)
+        runs = {}
+        for name, t_end in RUN_T_ENDS.items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(dict(readme, t_end=t_end), fh)
+            runs[name] = two_trees.wgflow_run(path, os.path.join(tmp, name))
     p = cfgs["particles"]
     atoms = sorted(p.initial.atoms)
     history = integrate(p.potential, ParticleState([x for x, _ in atoms], [m for _, m in atoms]), p.t_end, p.dt)
@@ -144,14 +161,18 @@ def measure() -> dict:
         velocities_s=two_trees.least_time(lambda: rows(velocity, mid, m), ROUNDS),
     )
     results["ot_process"] = {"wgflow_modules": modules, "s": ot_s}
+    results["readme_run"] = runs
     return results
 
 
 def report(base: dict, change: dict) -> dict:
     """The two trees' results with their speedups; every digest must agree."""
-    for name in ("particles", "readme"):
-        for key, value in base[name].items():
-            if key.endswith(("sha256", "hex")) and change[name][key] != value:
+    for name in ("particles", "readme", *(f"readme_run/{run}" for run in RUN_T_ENDS)):
+        want, got = base, change
+        for part in name.split("/"):
+            want, got = want[part], got[part]
+        for key, value in want.items():
+            if key.endswith(("sha256", "hex")) and got[key] != value:
                 raise SystemExit(f"{name} {key} differs")
     speedup = {
         f"{name}_{key[:-2]}_speedup": base[name][key] / change[name][key]
@@ -160,6 +181,11 @@ def report(base: dict, change: dict) -> dict:
         if key.endswith("_s")
     }
     speedup["ot_process_speedup"] = base["ot_process"]["s"] / change["ot_process"]["s"]
+    first, last = RUN_T_ENDS
+    growth = {
+        tree: result["readme_run"][last]["max_rss_kib"] - result["readme_run"][first]["max_rss_kib"]
+        for tree, result in (("base", base), ("change", change))
+    }
     return {
         "command": "python3 tools/bench_trajectory.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
@@ -167,6 +193,8 @@ def report(base: dict, change: dict) -> dict:
         f"round for ot_process), in {PASSES} interpreters per tree, the trees in turn",
         "results": {"base": base, "change": change},
         "speedup": speedup,
+        # each tree's README peak RSS at 5,001 records less that at 1,001
+        "readme_run_max_rss_growth_kib": growth,
     }
 
 

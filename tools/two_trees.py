@@ -10,12 +10,15 @@ value the same in every pass.  ``report(base, change)`` gets the two merged
 results, refuses a mismatch with ``SystemExit`` and returns the JSON object
 printed on stdout.  Run with ``--measure``, the script prints ``measure()``
 of the ``wgflow`` on ``sys.path`` as JSON.  ``least_time`` is the per-call
-timing of ``bench_exact.py`` and ``bench_trajectory.py``.
+timing of ``bench_exact.py`` and ``bench_trajectory.py``, and ``wgflow_run``
+the peak RSS of one ``wgflow run`` process, for ``bench_particles.py`` and
+``bench_trajectory.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +36,25 @@ def least_time(fn, rounds: int) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     return min(t / number for t in timer.repeat(rounds, number))
+
+
+def wgflow_run(config_path: str, out_dir: str) -> dict:
+    """Peak RSS of one ``wgflow run`` process, as ``max_rss_kib``, and its
+    summary's sha256.  The process is spawned by ``perfbench/launch.py``,
+    which is small: at ``exec`` Linux carries the spawning process's peak
+    into the child's."""
+    launch = os.path.join(ROOT, "perfbench", "launch.py")
+    logs = [out_dir + ext for ext in (".out", ".err")]
+    argv = [sys.executable, "-m", "wgflow.cli", "run", "--config", config_path, "--out", out_dir, "--quiet"]
+    line = subprocess.run(
+        [sys.executable, "-S", launch, *logs, "600", "--", *argv], check=True, capture_output=True, text=True
+    ).stdout
+    _, kib, code = line.split()
+    if code != "0":
+        raise SystemExit(f"wgflow run exited with {code}")
+    with open(os.path.join(out_dir, "summary.csv"), "rb") as fh:
+        summary = hashlib.sha256(fh.read()).hexdigest()
+    return {"max_rss_kib": int(kib), "summary_sha256": summary}
 
 
 def _child(script: str, root: str) -> dict:

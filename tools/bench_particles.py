@@ -39,9 +39,9 @@ counted.
 ``wgflow_run``: one ``wgflow run`` process on the ``particles_ot`` workload's
 particle config (seed 1), at ``dt`` 1e-3 and 1e-4, per pass; its
 ``max_rss_kib`` is the process's ``ru_maxrss`` as ``perfbench/launch.py``
-reads it (``two_trees.wgflow_run``).  Every peak is the least over the passes.  The sha256 of each
-run's ``summary.csv`` and of each trajectory's energies and step costs must
-agree between the trees.
+reads it (``two_trees.wgflow_run``).  Every peak is the least over the
+passes.  The sha256 of each run's ``summary.csv`` and of each trajectory's
+energies and step costs must agree between the trees.
 """
 
 from __future__ import annotations

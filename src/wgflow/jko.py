@@ -27,6 +27,7 @@ from .measures import (
     QuantileGrid,
     _check_grids,
     _equal_runs,
+    _row_w2sq,
     to_quantile_grid,
 )
 from .potential import (
@@ -39,7 +40,6 @@ from .potential import (
     pair_energy_force,
     pair_hessian,
 )
-from .transport import _row_w2sq
 
 STEP_BOUND_FACTOR = 12.0
 BACKTRACK_HALVINGS = 80
@@ -131,14 +131,15 @@ class FlowTrajectory:
     ``lo..hi-1`` as a C-contiguous ``(hi - lo, n)`` float64 array and
     ``state(k)`` one row as a ``QuantileGrid``; every pass over the states
     reads them a block of rows at a time (``row_blocks``).  ``energies[k]`` is
-    the interaction energy of row k and ``step_costs[k]`` the squared step
-    distance over twice the step length,
-    ``W2^2(row k, row k+1) / (2 (times[k+1]-times[k]))``.
+    the interaction energy of row k, ``step_squares[k]`` the squared step
+    distance ``W2^2(row k, row k+1)`` of the rows, and ``step_costs[k]`` that
+    over twice the step length, ``W2^2 / (2 (times[k+1]-times[k]))``.
 
     A trajectory holds its rows as a reader, ``rows``.
     ``FlowTrajectory(times, grids, energies, step_costs)`` reads them off one
-    ``(K+1, n)`` array, which it freezes: one handed in as C-contiguous
-    float64 is not copied, and ``rows`` returns views of it.  A trajectory
+    ``(K+1, n)`` array, which it freezes, and takes ``step_squares`` off
+    them: one handed in as C-contiguous float64 is not copied, and ``rows``
+    returns views of it.  A trajectory
     that ``_trajectory`` makes reads them from its reader when they are
     read: from a temporary file (``_spill``) for ``run_flow`` and exact
     runs, or built off a particle history (``particles.quantile_trajectory``);
@@ -150,24 +151,28 @@ class FlowTrajectory:
         _check_grids(g)
         if g.shape[0] != np.size(times):
             raise DomainError("trajectory arrays have inconsistent lengths")
-        self._hold(times, lambda lo, hi: g[lo:hi], g.shape[1], energies, step_costs)
+        read = lambda lo, hi: g[lo:hi]  # noqa: E731
+        squares = np.empty(g.shape[0] - 1)
+        for _, steps, block in _row_blocks(read, g.shape[0], g.shape[1]):
+            squares[steps] = _row_w2sq(block[:-1], block[1:])
+        self._hold(times, read, g.shape[1], energies, step_costs, squares)
         g.flags.writeable = False
 
     @classmethod
-    def _from_reader(cls, times, read, n: int, energies, step_costs) -> FlowTrajectory:
+    def _from_reader(cls, times, read, n: int, energies, step_costs, step_squares) -> FlowTrajectory:
         """The trajectory whose rows ``lo..hi-1`` are ``read(lo, hi)``."""
         traj = cls.__new__(cls)
-        traj._hold(times, read, n, energies, step_costs)
+        traj._hold(times, read, n, energies, step_costs, step_squares)
         return traj
 
-    def _hold(self, times, read, n: int, energies, step_costs):
-        t, e, c = (np.array(a, dtype=float) for a in (times, energies, step_costs))
+    def _hold(self, times, read, n: int, energies, step_costs, step_squares):
+        t, e, c, q = (np.array(a, dtype=float) for a in (times, energies, step_costs, step_squares))
         if not (t.size == e.size == c.size + 1):
             raise DomainError("trajectory arrays have inconsistent lengths")
-        for arr in (t, e, c):
+        for arr in (t, e, c, q):
             arr.flags.writeable = False
         # past ``__setattr__``, which refuses every assignment
-        vars(self).update(times=t, energies=e, step_costs=c, grid_size=n, _read=read)
+        vars(self).update(times=t, energies=e, step_costs=c, step_squares=q, grid_size=n, _read=read)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FlowTrajectory is read-only: cannot set {name}")
@@ -249,7 +254,7 @@ def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory
         squares[steps] = _row_w2sq(block[:-1], block[1:])
     spans = np.diff(times)
     costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
-    return FlowTrajectory._from_reader(times, read, n, energies, costs)
+    return FlowTrajectory._from_reader(times, read, n, energies, costs, squares)
 
 
 def _pava(y: np.ndarray) -> np.ndarray:

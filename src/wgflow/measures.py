@@ -36,6 +36,14 @@ def _check_grids(v: np.ndarray):
         raise DomainError("quantile grid values must be nondecreasing")
 
 
+def _row_w2sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry k is the squared discrete W2 distance between rows k of ``a`` and
+    ``b`` (``b`` if 1-D).  Its temporaries are the size of ``a``: a pass over
+    a trajectory hands it one block of rows at a time (``jko._row_blocks``)."""
+    d = a - b
+    return np.mean(d * d, axis=1)
+
+
 def midpoint_nodes(n: int) -> np.ndarray:
     """The ``n`` midpoint mass levels ``(k + 1/2) / n`` a quantile grid samples."""
     if n < 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, piece_index, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, _row_w2sq, eval_pieces, piece_index, quantile_pieces
 
 BALANCE_TOL = 1e-12
 MARGINAL_TOL = 1e-9
@@ -162,14 +162,6 @@ def w2_quantile(g1: QuantileGrid, g2: QuantileGrid) -> float:
     if g1.n != g2.n:
         raise DomainError(f"grid sizes differ: {g1.n} vs {g2.n}")
     return float(np.sqrt(_row_w2sq(g1.values[None], g2.values)[0]))
-
-
-def _row_w2sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry k is the squared discrete W2 distance between rows k of ``a`` and
-    ``b`` (``b`` if 1-D).  Its temporaries are the size of ``a``: a pass over
-    a trajectory hands it one block of rows at a time (``jko._row_blocks``)."""
-    d = a - b
-    return np.mean(d * d, axis=1)
 
 
 def w2_exact_discrete(m1: Measure1D, m2: Measure1D) -> float:

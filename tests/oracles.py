@@ -197,6 +197,31 @@ def central_difference(f, x, h):
     return g
 
 
+# --- sampled midpoint convexity ---------------------------------------------
+
+
+def midpoint_convexity_violated(W, cert, samples=129):
+    """Whether ``W(x) + (lambda_second/2) x^2 + lambda_prime |x|`` breaks
+    midpoint convexity beyond rounding on ``samples`` equispaced points of
+    ``[-cert.radius, cert.radius]``, over spans of 2 to 32 steps."""
+    from wgflow.potential import Potential, evaluate
+
+    xs = np.linspace(-cert.radius, cert.radius, samples)
+    compensation = 0.5 * cert.lambda_second * xs**2 + cert.lambda_prime * np.abs(xs)
+    f = evaluate(W, xs) + compensation
+    # rounding in f grows with its summands, which may cancel to f = 0
+    sizes = Potential(abs(W.eta), abs(W.beta), tuple((abs(c), p) for c, p in W.terms))
+    scale = 1.0 + float(np.max(evaluate(sizes, xs) + compensation))
+    # pairs with an on-grid midpoint: indices of equal parity
+    for step in (2, 4, 8, 16, 32):
+        if step >= samples:
+            break
+        mid = f[step // 2 : samples - step // 2]
+        if np.any(2.0 * mid > f[:-step] + f[step:] + 1e-9 * scale):
+            return True
+    return False
+
+
 # --- dense pairwise sums ----------------------------------------------------
 
 

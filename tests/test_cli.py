@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -200,6 +202,24 @@ def test_run_refuses_a_temporary_directory_it_cannot_write(tmp_path, capsys, mon
     record = json.loads(captured.err.strip())
     assert (record["error"], record["exit_code"], record["file"]) == ("output", 2, missing)
     assert captured.out == "" and os.listdir(out) == []
+
+
+@pytest.mark.parametrize("method, code", [("jko", 2), ("exact", 2), ("particles", 0)])
+def test_run_refuses_an_unusable_tmpdir(tmp_path, method, code):
+    """A ``TMPDIR`` that is set but is not a directory is refused by the runs
+    that spill their states, before their first step, not passed over for
+    /tmp; a particle run spills nothing and goes on."""
+    missing = str(tmp_path / "missing")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, TMPDIR=missing, PYTHONPATH=src)
+    out = tmp_path / "out"
+    argv = ["run", "--config", _write(tmp_path / "c.json", GOLDEN_RUNS[method]), "--out", str(out), "--quiet"]
+    proc = subprocess.run([sys.executable, "-m", "wgflow.cli", *argv], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    if code:
+        record = json.loads(proc.stderr)
+        assert (record["error"], record["exit_code"], record["file"]) == ("output", 2, missing)
+        assert os.listdir(out) == []
 
 
 def test_run_and_w2_refuse_non_object_files(tmp_path, capsys):
@@ -458,13 +478,12 @@ def test_run_failure_record_writes_nonfinite_residuals_as_null(tmp_path, capsys,
 
 
 def test_ot_simplex_cap_record(tmp_path, capsys, monkeypatch):
-    import wgflow.cli as cli
     from wgflow import PivotCapReached
 
     def capped(inst):
         raise PivotCapReached(1000)
 
-    monkeypatch.setattr(cli, "solve_primal", capped)
+    monkeypatch.setattr("wgflow.transport.solve_primal", capped)
     payload = {"sources": [[[0.0], 1.0]], "sinks": [[[1.0], 1.0]]}
     assert main(["ot", _write(tmp_path / "i.json", payload)]) == 3
     captured = capsys.readouterr()
@@ -668,7 +687,7 @@ GOLDEN_RUNS = {
 }
 # sha256 of trajectory.csv, summary.csv and diagnostics.json.  The summaries
 # and diagnostics of the jko and particle runs take their squared distances as
-# row-wise mean squares (``transport._row_w2sq``), not as squared square roots:
+# row-wise mean squares (``measures._row_w2sq``), not as squared square roots:
 # each squared distance is within 1 ulp of the old, each step cost within 2.
 GOLDEN_SHA256 = {
     "jko": (
@@ -906,3 +925,29 @@ def test_summary_csv_matches_the_per_value_writer(tmp_path, records):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     if records == 1:
         assert (tmp_path / "fast.csv").read_text().splitlines()[1:] == ["-0,0.33333333333333331,,"]
+
+
+def test_summary_speeds_are_the_metric_derivative_estimate_bit_for_bit(tmp_path):
+    """The summary takes its speeds off the squared step distances the
+    trajectory holds; they equal ``metric_derivative_estimate``'s for the
+    trajectory of each method and for one built from arrays."""
+    from wgflow.analytic import metric_derivative_estimate
+    from wgflow.cli import ExperimentConfig, _exact_trajectory, _write_summary
+    from wgflow.jko import FlowTrajectory, run_flow
+    from wgflow.particles import ParticleState, integrate, quantile_trajectory
+
+    jko, parts, exact = (ExperimentConfig.from_json_dict(GOLDEN_RUNS[m]) for m in ("jko", "particles_blocks", "exact"))
+    history = integrate(parts.potential, ParticleState(*zip(*parts.initial.atoms)), parts.t_end, parts.dt)
+    # 300 records of 50 values: four row blocks
+    grids = np.sort(np.random.default_rng(5).normal(size=(300, 50)), axis=1)
+    trajectories = {
+        "jko": run_flow(jko.potential, jko.initial, jko.jko_config()),
+        "particles": quantile_trajectory(parts.potential, history, parts.n),
+        "exact": _exact_trajectory(exact),
+        "arrays": FlowTrajectory(np.arange(300) / 7.0, grids, np.zeros(300), np.zeros(299)),
+    }
+    for name, traj in trajectories.items():
+        path = tmp_path / f"{name}.csv"
+        _write_summary(str(path), traj)
+        speeds = [float(line.split(",")[2]).hex() for line in path.read_text().splitlines()[2:]]
+        assert speeds == [v.hex() for v in metric_derivative_estimate(traj).tolist()], name

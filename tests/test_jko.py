@@ -33,8 +33,8 @@ from wgflow import (
 )
 from oracles import lattice_isotonic
 from wgflow.jko import StepRecord
+from wgflow.measures import _row_w2sq
 from wgflow.potential import curvature_bound, evaluate, pair_energy, pair_energy_force
-from wgflow.transport import _row_w2sq
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)

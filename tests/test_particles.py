@@ -24,10 +24,10 @@ from wgflow import (
 from wgflow import particles
 from wgflow.analytic import default_bump_library, metric_derivative_estimate, weak_residual
 from wgflow.jko import _trajectory, evi_residual
+from wgflow.measures import _row_w2sq
 from wgflow.particles import ParticleHistory
 from wgflow.particles import interaction_energy as particle_energy
 from wgflow.potential import pair_energy
-from wgflow.transport import _row_w2sq
 
 from oracles import reference_integrate
 

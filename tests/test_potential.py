@@ -28,8 +28,17 @@ from oracles import (
     central_difference,
     dense_pair_hessian,
     dense_pair_sums,
+    midpoint_convexity_violated,
 )
-from wgflow.potential import PAIR_BLOCK, _triangle_blocks, pair_energy, pair_energy_force, pair_force, pair_hessian
+from wgflow.potential import (
+    PAIR_BLOCK,
+    ConvexityCertificate,
+    _triangle_blocks,
+    pair_energy,
+    pair_energy_force,
+    pair_force,
+    pair_hessian,
+)
 
 CUSP_REPULSIVE = Potential(eta=-1.0)
 CUSP_ATTRACTIVE = Potential(eta=1.0)
@@ -213,6 +222,32 @@ def test_certificate_refuses_negative_subquadratic_power():
 
 
 _coef = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _coef,
+    _coef,
+    st.lists(st.tuples(_coef, st.floats(1.0, 4.0, exclude_min=True)), max_size=3),
+    st.floats(0.5, 100.0),
+)
+def test_every_certified_potential_is_midpoint_convex_on_a_sample(eta, beta, terms, radius):
+    """The certificate is closed form; the sampled check that once ran after
+    it holds for every potential it accepts, and it refuses only negative
+    powers below 2."""
+    W = Potential(eta, beta, tuple(terms))
+    try:
+        cert = convexity_certificate(W, radius)
+    except DomainError:
+        assert any(c < 0.0 and p < 2.0 for c, p in W.terms)
+        return
+    assert not midpoint_convexity_violated(W, cert)
+
+
+def test_midpoint_convexity_oracle_sees_a_short_compensation():
+    assert midpoint_convexity_violated(Potential(eta=-1.0), ConvexityCertificate(0.5, 0.0, 10.0))
+    assert midpoint_convexity_violated(Potential(beta=-0.5), ConvexityCertificate(0.0, 0.25, 10.0))
+    assert midpoint_convexity_violated(Potential(terms=((-1.0, 3.0),)), ConvexityCertificate(0.0, 50.0, 10.0))
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wgflow import transport
+from wgflow import measures, transport
 from wgflow import (
     DiscreteInstance,
     DomainError,
@@ -52,9 +52,9 @@ def test_row_w2sq_on_rows_equals_row_by_row_bits():
     for _ in range(60):
         a, b = rng.normal(size=(2, int(rng.integers(1, 61)), int(rng.integers(1, 301))))
         sizes.append(a.size)
-        got = transport._row_w2sq(a, b)
-        assert np.array_equal(got, [transport._row_w2sq(x[None], y)[0] for x, y in zip(a, b)])
-        assert np.array_equal(transport._row_w2sq(a, b[0]), [transport._row_w2sq(x[None], b[0])[0] for x in a])
+        got = measures._row_w2sq(a, b)
+        assert np.array_equal(got, [measures._row_w2sq(x[None], y)[0] for x, y in zip(a, b)])
+        assert np.array_equal(measures._row_w2sq(a, b[0]), [measures._row_w2sq(x[None], b[0])[0] for x in a])
     assert max(sizes) > 4096
 
 

@@ -33,10 +33,14 @@ per call (``two_trees.least_time``):
 The ``wgflow`` modules that ``ot`` process imports are read off
 ``-X importtime``.
 
-``readme_run``: one ``wgflow run`` process of the README job per entry of
-``RUN_T_ENDS``, at 1,001 and 5,001 records, per pass; its ``max_rss_kib``
-is the child's ``ru_maxrss`` (``two_trees.wgflow_run``), the least over
-the passes.  The report gives each tree's growth from the one to the other.
+``wgflow_run``: one ``wgflow run`` process of each workload's run job,
+per pass: the README (``cusp_readme``, seed 0), cusp+quadratic
+(``cusp_quad_n4000``, seed 0), power (``power_n400``, seed 0) and particle
+(``particles_ot``, seed 1) configs.  Its ``max_rss_kib`` is the child's
+``ru_maxrss`` compiling ``wgflow`` from source, as perfbench's processes do,
+and ``bytecode_max_rss_kib`` the same from bytecode compiled beforehand
+(``two_trees.wgflow_run``), each the least over the passes.  The report
+gives the change less the base of each.
 
 The sha256 of every energy and velocity array and run summary, and the weak
 residual's hex, must agree between the trees.
@@ -63,8 +67,13 @@ from perfbench.workloads import build  # noqa: E402
 
 PASSES = 4
 ROUNDS = 5
-# t_end of each README run whose peak RSS is read: 1,001 and 5,001 records
-RUN_T_ENDS = {"records_1001": 1.0, "records_5001": 5.0}
+# the workloads whose run job ``wgflow_run`` launches, and their seeds
+RUNS = {
+    "readme": ("cusp_readme", 0),
+    "quad": ("cusp_quad_n4000", 0),
+    "power": ("power_n400", 0),
+    "particles": ("particles_ot", 1),
+}
 
 
 def _digest(a) -> str:
@@ -72,11 +81,12 @@ def _digest(a) -> str:
 
 
 def _configs(tmp: str) -> dict:
-    """The particle and README configs, as ``ExperimentConfig``."""
+    """The particle and README configs, as ``ExperimentConfig``; every
+    config of ``RUNS`` is written to ``tmp``."""
     from wgflow.cli import ExperimentConfig
 
-    build("particles_ot", 1, tmp)
-    build("cusp_readme", 0, tmp)
+    for workload, seed in RUNS.values():
+        build(workload, seed, tmp)
     out = {}
     for name in ("particles", "readme"):
         with open(os.path.join(tmp, f"{name}.json")) as fh:
@@ -108,14 +118,7 @@ def measure() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cfgs = _configs(tmp)
         modules, ot_s = _ot_process(tmp)
-        with open(os.path.join(tmp, "readme.json")) as fh:
-            readme = json.load(fh)
-        runs = {}
-        for name, t_end in RUN_T_ENDS.items():
-            path = os.path.join(tmp, f"{name}.json")
-            with open(path, "w") as fh:
-                json.dump(dict(readme, t_end=t_end), fh)
-            runs[name] = two_trees.wgflow_run(path, os.path.join(tmp, name))
+        runs = {name: two_trees.wgflow_run(os.path.join(tmp, f"{name}.json"), os.path.join(tmp, name)) for name in RUNS}
     p = cfgs["particles"]
     atoms = sorted(p.initial.atoms)
     history = integrate(p.potential, ParticleState([x for x, _ in atoms], [m for _, m in atoms]), p.t_end, p.dt)
@@ -161,7 +164,7 @@ def measure() -> dict:
         velocities_s=two_trees.least_time(lambda: rows(velocity, mid, m), ROUNDS),
     )
     results["ot_process"] = {"wgflow_modules": modules, "s": ot_s}
-    results["readme_run"] = runs
+    results["wgflow_run"] = runs
     return results
 
 
@@ -171,9 +174,9 @@ def report(base: dict, change: dict) -> dict:
         for key, value in base[name].items():
             if key.endswith(("sha256", "hex")) and change[name][key] != value:
                 raise SystemExit(f"{name} {key} differs")
-    for run in RUN_T_ENDS:
-        if change["readme_run"][run]["summary_sha256"] != base["readme_run"][run]["summary_sha256"]:
-            raise SystemExit(f"readme_run {run} summary_sha256 differs")
+    for run in RUNS:
+        if change["wgflow_run"][run]["summary_sha256"] != base["wgflow_run"][run]["summary_sha256"]:
+            raise SystemExit(f"wgflow_run {run} summary_sha256 differs")
     speedup = {
         f"{name}_{key[:-2]}_speedup": base[name][key] / change[name][key]
         for name in ("particles", "readme")
@@ -181,10 +184,10 @@ def report(base: dict, change: dict) -> dict:
         if key.endswith("_s")
     }
     speedup["ot_process_speedup"] = base["ot_process"]["s"] / change["ot_process"]["s"]
-    first, last = RUN_T_ENDS
-    growth = {
-        tree: result["readme_run"][last]["max_rss_kib"] - result["readme_run"][first]["max_rss_kib"]
-        for tree, result in (("base", base), ("change", change))
+    rss = {
+        f"{run}_{key}": change["wgflow_run"][run][key] - base["wgflow_run"][run][key]
+        for run in RUNS
+        for key in ("max_rss_kib", "bytecode_max_rss_kib")
     }
     return {
         "command": "python3 tools/bench_trajectory.py --base BASE",
@@ -193,8 +196,8 @@ def report(base: dict, change: dict) -> dict:
         f"round for ot_process), in {PASSES} interpreters per tree, the trees in turn",
         "results": {"base": base, "change": change},
         "speedup": speedup,
-        # each tree's README peak RSS at 5,001 records less that at 1,001
-        "readme_run_max_rss_growth_kib": growth,
+        # each run's peak RSS in the change less that in the base
+        "wgflow_run_change_kib": rss,
     }
 
 

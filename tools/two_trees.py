@@ -11,8 +11,8 @@ results, refuses a mismatch with ``SystemExit`` and returns the JSON object
 printed on stdout.  Run with ``--measure``, the script prints ``measure()``
 of the ``wgflow`` on ``sys.path`` as JSON.  ``least_time`` is the per-call
 timing of ``bench_exact.py`` and ``bench_trajectory.py``, and ``wgflow_run``
-the peak RSS of one ``wgflow run`` process, for ``bench_particles.py`` and
-``bench_trajectory.py``.
+the peak RSS of one ``wgflow run`` process, compiling its source and from
+bytecode, for ``bench_particles.py`` and ``bench_trajectory.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import timeit
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -39,26 +41,50 @@ def least_time(fn, rounds: int) -> float:
 
 
 def wgflow_run(config_path: str, out_dir: str) -> dict:
-    """Peak RSS of one ``wgflow run`` process, as ``max_rss_kib``, and its
-    summary's sha256.  The process is spawned by ``perfbench/launch.py``,
-    which is small: at ``exec`` Linux carries the spawning process's peak
-    into the child's."""
+    """Peak RSS of one ``wgflow run`` process, read two ways, and its
+    summary's sha256.  ``max_rss_kib`` compiles ``wgflow`` from its source,
+    as perfbench's processes do; ``bytecode_max_rss_kib`` reads bytecode
+    compiled beforehand.  The launches share a temporary
+    ``PYTHONPYCACHEPREFIX``, so the tree gets no ``__pycache__``: a first
+    launch fills it, the second reads it, and the third reads it with the
+    ``wgflow`` package's part removed, the rest (numpy, the standard
+    library) still compiled.  Each process is spawned by
+    ``perfbench/launch.py``, which is small: at ``exec`` Linux carries the
+    spawning process's peak into the child's."""
+    import wgflow
+
+    argv = [sys.executable, "-m", "wgflow.cli", "run", "--config", config_path, "--out", out_dir, "--quiet"]
+    package = os.path.normpath(os.path.dirname(os.path.abspath(wgflow.__file__)))
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        _launch(argv, out_dir, env)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        bytecode = _launch(argv, out_dir, env)
+        shutil.rmtree(os.path.join(prefix, package.lstrip(os.sep)))
+        source = _launch(argv, out_dir, env)
+    with open(os.path.join(out_dir, "summary.csv"), "rb") as fh:
+        summary = hashlib.sha256(fh.read()).hexdigest()
+    return {"max_rss_kib": source, "bytecode_max_rss_kib": bytecode, "summary_sha256": summary}
+
+
+def _launch(argv: list, out_dir: str, env: dict) -> int:
+    """The ``ru_maxrss`` in KiB of ``argv`` run under ``env`` by
+    ``perfbench/launch.py``; it must exit 0."""
     launch = os.path.join(ROOT, "perfbench", "launch.py")
     logs = [out_dir + ext for ext in (".out", ".err")]
-    argv = [sys.executable, "-m", "wgflow.cli", "run", "--config", config_path, "--out", out_dir, "--quiet"]
     line = subprocess.run(
-        [sys.executable, "-S", launch, *logs, "600", "--", *argv], check=True, capture_output=True, text=True
+        [sys.executable, "-S", launch, *logs, "600", "--", *argv], env=env, check=True, capture_output=True, text=True
     ).stdout
     _, kib, code = line.split()
     if code != "0":
         raise SystemExit(f"wgflow run exited with {code}")
-    with open(os.path.join(out_dir, "summary.csv"), "rb") as fh:
-        summary = hashlib.sha256(fh.read()).hexdigest()
-    return {"max_rss_kib": int(kib), "summary_sha256": summary}
+    return int(kib)
 
 
 def _child(script: str, root: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    # no ``__pycache__`` is written into either tree
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
         [sys.executable, os.path.abspath(script), "--measure"], env=env, check=True, capture_output=True, text=True
     )

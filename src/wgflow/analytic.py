@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jko import FlowTrajectory
-from .measures import DomainError, Measure1D, QuantileGrid, _row_w2sq, eval_pieces, midpoint_nodes, quantile_pieces
+from .measures import DomainError, Measure1D, QuantileGrid, eval_pieces, midpoint_nodes, quantile_pieces
 from .potential import Potential, pair_force
 
 KIND_REPULSIVE = "repulsive_cusp_diffusion"
@@ -362,7 +362,4 @@ def metric_derivative_estimate(traj: FlowTrajectory) -> np.ndarray:
     """Per-step speed W2(X_k, X_{k+1}) / (t_{k+1} - t_k)."""
     if traj.times.size < 2:
         raise DomainError("metric derivative needs at least two states")
-    speeds = np.empty(traj.times.size - 1)
-    for _, steps, block in traj.row_blocks():
-        speeds[steps] = np.sqrt(_row_w2sq(block[:-1], block[1:]))
-    return speeds / np.diff(traj.times)
+    return traj.speeds

@@ -293,10 +293,7 @@ def _write_particle_trajectory(path: str, history: ParticleHistory):
 
 
 def _write_summary(path: str, traj: FlowTrajectory):
-    # ``analytic.metric_derivative_estimate``'s speeds, bit for bit, off the
-    # squared step distances the trajectory already holds
-    speeds = np.sqrt(traj.step_squares) / np.diff(traj.times)
-    rows = np.column_stack((traj.energies[1:], speeds, traj.step_costs))
+    rows = np.column_stack((traj.energies[1:], traj.speeds, traj.step_costs))
     # the first state has no step behind it: its speed and cost are empty
     head = "t,energy,metric_derivative,step_cost\n%.17g,%.17g,,\n" % (traj.times[0], traj.energies[0])
     _write_records(path, head, [(traj.times[1:], rows, [(slice(None), "\0,%.17g,%.17g,%.17g\n")])])

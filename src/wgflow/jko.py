@@ -132,8 +132,9 @@ class FlowTrajectory:
     ``state(k)`` one row as a ``QuantileGrid``; every pass over the states
     reads them a block of rows at a time (``row_blocks``).  ``energies[k]`` is
     the interaction energy of row k, ``step_squares[k]`` the squared step
-    distance ``W2^2(row k, row k+1)`` of the rows, and ``step_costs[k]`` that
-    over twice the step length, ``W2^2 / (2 (times[k+1]-times[k]))``.
+    distance ``W2^2(row k, row k+1)`` of the rows, ``step_costs[k]`` that
+    over twice the step length, ``W2^2 / (2 (times[k+1]-times[k]))``, and
+    ``speeds[k]`` the speed ``W2 / (times[k+1]-times[k])``.
 
     A trajectory holds its rows as a reader, ``rows``.
     ``FlowTrajectory(times, grids, energies, step_costs)`` reads them off one
@@ -152,9 +153,7 @@ class FlowTrajectory:
         if g.shape[0] != np.size(times):
             raise DomainError("trajectory arrays have inconsistent lengths")
         read = lambda lo, hi: g[lo:hi]  # noqa: E731
-        squares = np.empty(g.shape[0] - 1)
-        for _, steps, block in _row_blocks(read, g.shape[0], g.shape[1]):
-            squares[steps] = _row_w2sq(block[:-1], block[1:])
+        squares = _step_squares(read, g.shape[0], g.shape[1])
         self._hold(times, read, g.shape[1], energies, step_costs, squares)
         g.flags.writeable = False
 
@@ -176,6 +175,11 @@ class FlowTrajectory:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FlowTrajectory is read-only: cannot set {name}")
+
+    @property
+    def speeds(self) -> np.ndarray:
+        """Per-step speed ``W2(row k, row k+1) / (times[k+1] - times[k])``."""
+        return np.sqrt(self.step_squares) / np.diff(self.times)
 
     @property
     def grids(self) -> np.ndarray:
@@ -212,6 +216,19 @@ def _row_blocks(read, count: int, n: int):
         yield slice(lo, hi), slice(lo, lo + block.shape[0] - 1), block
 
 
+def _step_squares(read, count: int, n: int, each=None) -> np.ndarray:
+    """``W2^2(row k, row k+1)`` of the ``count`` rows of length ``n`` that
+    ``read(lo, hi)`` reads, a block of rows at a time (``_row_blocks``),
+    each row's bit for bit the row's own.  ``each(states, chunk)``, if
+    given, is called first on each chunk of rows of the ``states``."""
+    squares = np.empty(max(count - 1, 0))
+    for states, steps, block in _row_blocks(read, count, n):
+        if each is not None:
+            each(states, block[: states.stop - states.start])
+        squares[steps] = _row_w2sq(block[:-1], block[1:])
+    return squares
+
+
 def _spill(rows, n: int):
     """Write each C-contiguous float64 row of length ``n`` that ``rows``
     yields to an anonymous temporary file (``tempfile.TemporaryFile``, in
@@ -240,18 +257,17 @@ def _spill(rows, n: int):
 def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory:
     """FlowTrajectory of the finished states ``read(lo, hi)`` reads, rows of
     length ``n``: their energies, and step costs ``W2^2 / (2 span)`` that
-    are 0 over a span of length 0, taken a block of rows at a time
-    (``_row_blocks``), each row's bit for bit the row's own.  Each block is
-    checked as it is read."""
+    are 0 over a span of length 0, taken in the one pass of
+    ``_step_squares``.  Each chunk of rows is checked as it is read."""
     times = np.asarray(times, dtype=float)
     m = np.full(n, 1.0 / n)
     energies = np.empty(times.size)
-    squares = np.empty(max(times.size - 1, 0))
-    for states, steps, block in _row_blocks(read, times.size, n):
-        chunk = block[: states.stop - states.start]
+
+    def energy(states, chunk):
         _check_grids(chunk)
         energies[states] = pair_energy(W, chunk, m)
-        squares[steps] = _row_w2sq(block[:-1], block[1:])
+
+    squares = _step_squares(read, times.size, n, energy)
     spans = np.diff(times)
     costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
     return FlowTrajectory._from_reader(times, read, n, energies, costs, squares)

@@ -929,11 +929,13 @@ def test_summary_csv_matches_the_per_value_writer(tmp_path, records):
 
 def test_summary_speeds_are_the_metric_derivative_estimate_bit_for_bit(tmp_path):
     """The summary takes its speeds off the squared step distances the
-    trajectory holds; they equal ``metric_derivative_estimate``'s for the
+    trajectory holds; they equal ``metric_derivative_estimate``'s, and the
+    row-wise W2 of all the rows at once over the time steps, for the
     trajectory of each method and for one built from arrays."""
     from wgflow.analytic import metric_derivative_estimate
     from wgflow.cli import ExperimentConfig, _exact_trajectory, _write_summary
     from wgflow.jko import FlowTrajectory, run_flow
+    from wgflow.measures import _row_w2sq
     from wgflow.particles import ParticleState, integrate, quantile_trajectory
 
     jko, parts, exact = (ExperimentConfig.from_json_dict(GOLDEN_RUNS[m]) for m in ("jko", "particles_blocks", "exact"))
@@ -951,3 +953,6 @@ def test_summary_speeds_are_the_metric_derivative_estimate_bit_for_bit(tmp_path)
         _write_summary(str(path), traj)
         speeds = [float(line.split(",")[2]).hex() for line in path.read_text().splitlines()[2:]]
         assert speeds == [v.hex() for v in metric_derivative_estimate(traj).tolist()], name
+        g = traj.grids
+        whole = np.sqrt(_row_w2sq(g[:-1], g[1:])) / np.diff(traj.times)
+        assert speeds == [v.hex() for v in whole.tolist()], name

@@ -36,12 +36,15 @@ second shows a change to the writer.  The two histories are checked to agree
 bit for bit, and the ``ode_rhs`` calls of one run of each integrator are
 counted.
 
-``wgflow_run``: one ``wgflow run`` process on the ``particles_ot`` workload's
-particle config (seed 1), at ``dt`` 1e-3 and 1e-4, per pass; its
-``max_rss_kib`` is the process's ``ru_maxrss`` as ``perfbench/launch.py``
-reads it (``two_trees.wgflow_run``).  Every peak is the least over the
-passes.  The sha256 of each run's ``summary.csv`` and of each trajectory's
-energies and step costs must agree between the trees.
+``wgflow_run``: the ``particles_ot`` workload's particle config (seed 1), at
+``dt`` 1e-3 and 1e-4, per pass, each launched as three ``wgflow run``
+processes (``two_trees.wgflow_run``): ``max_rss_kib`` is the ``ru_maxrss``,
+as ``perfbench/launch.py`` reads it, of the process that compiles ``wgflow``
+from source, as perfbench's processes do, and ``bytecode_max_rss_kib`` that
+of the one that reads bytecode compiled beforehand; the report gives the
+ratio of each.  Every peak is the least over the passes.  The sha256 of
+each run's ``summary.csv`` and of each trajectory's energies and step costs
+must agree between the trees.
 """
 
 from __future__ import annotations
@@ -192,9 +195,9 @@ def report(base: dict, change: dict) -> dict:
         for key in ("adapter_summary_peak_kib", "summary_writer_peak_kib"):
             ratios[f"{name}_{key[:-4]}_ratio"] = change[name][key] / base[name][key]
     for name in RUN_DTS:
-        ratios[f"wgflow_run_{name}_max_rss_ratio"] = (
-            change["wgflow_run"][name]["max_rss_kib"] / base["wgflow_run"][name]["max_rss_kib"]
-        )
+        for key in ("max_rss_kib", "bytecode_max_rss_kib"):
+            runs = (change["wgflow_run"][name], base["wgflow_run"][name])
+            ratios[f"wgflow_run_{name}_{key[:-4]}_ratio"] = runs[0][key] / runs[1][key]
     return {
         "command": "python3 tools/bench_particles.py --base BASE",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",

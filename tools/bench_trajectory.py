@@ -36,11 +36,13 @@ The ``wgflow`` modules that ``ot`` process imports are read off
 ``wgflow_run``: one ``wgflow run`` process of each workload's run job,
 per pass: the README (``cusp_readme``, seed 0), cusp+quadratic
 (``cusp_quad_n4000``, seed 0), power (``power_n400``, seed 0) and particle
-(``particles_ot``, seed 1) configs.  Its ``max_rss_kib`` is the child's
-``ru_maxrss`` compiling ``wgflow`` from source, as perfbench's processes do,
-and ``bytecode_max_rss_kib`` the same from bytecode compiled beforehand
-(``two_trees.wgflow_run``), each the least over the passes.  The report
-gives the change less the base of each.
+(``particles_ot``, seed 1) configs, and the README config run to ``t = 5``
+(``readme_5001``: 5,001 records where the README job writes 1,001).  Its
+``max_rss_kib`` is the child's ``ru_maxrss`` compiling ``wgflow`` from
+source, as perfbench's processes do, and ``bytecode_max_rss_kib`` the same
+from bytecode compiled beforehand (``two_trees.wgflow_run``), each the least
+over the passes.  The report gives the change less the base of each, and
+each tree's growth from 1,001 to 5,001 README records.
 
 The sha256 of every energy and velocity array and run summary, and the weak
 residual's hex, must agree between the trees.
@@ -74,6 +76,8 @@ RUNS = {
     "power": ("power_n400", 0),
     "particles": ("particles_ot", 1),
 }
+# the README config is also launched to this t_end: 5,001 records
+README_LONG = ("readme_5001", 5.0)
 
 
 def _digest(a) -> str:
@@ -82,7 +86,7 @@ def _digest(a) -> str:
 
 def _configs(tmp: str) -> dict:
     """The particle and README configs, as ``ExperimentConfig``; every
-    config of ``RUNS`` is written to ``tmp``."""
+    config of ``RUNS`` and ``README_LONG`` is written to ``tmp``."""
     from wgflow.cli import ExperimentConfig
 
     for workload, seed in RUNS.values():
@@ -90,8 +94,11 @@ def _configs(tmp: str) -> dict:
     out = {}
     for name in ("particles", "readme"):
         with open(os.path.join(tmp, f"{name}.json")) as fh:
-            out[name] = ExperimentConfig.from_json_dict(json.load(fh))
-    return out
+            out[name] = json.load(fh)
+    long_name, t_end = README_LONG
+    with open(os.path.join(tmp, f"{long_name}.json"), "w") as fh:
+        json.dump(dict(out["readme"], t_end=t_end), fh)
+    return {name: ExperimentConfig.from_json_dict(cfg) for name, cfg in out.items()}
 
 
 def _ot_process(tmp: str) -> tuple[list[str], float]:
@@ -118,7 +125,10 @@ def measure() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cfgs = _configs(tmp)
         modules, ot_s = _ot_process(tmp)
-        runs = {name: two_trees.wgflow_run(os.path.join(tmp, f"{name}.json"), os.path.join(tmp, name)) for name in RUNS}
+        runs = {
+            name: two_trees.wgflow_run(os.path.join(tmp, f"{name}.json"), os.path.join(tmp, name))
+            for name in (*RUNS, README_LONG[0])
+        }
     p = cfgs["particles"]
     atoms = sorted(p.initial.atoms)
     history = integrate(p.potential, ParticleState([x for x, _ in atoms], [m for _, m in atoms]), p.t_end, p.dt)
@@ -174,7 +184,7 @@ def report(base: dict, change: dict) -> dict:
         for key, value in base[name].items():
             if key.endswith(("sha256", "hex")) and change[name][key] != value:
                 raise SystemExit(f"{name} {key} differs")
-    for run in RUNS:
+    for run in (*RUNS, README_LONG[0]):
         if change["wgflow_run"][run]["summary_sha256"] != base["wgflow_run"][run]["summary_sha256"]:
             raise SystemExit(f"wgflow_run {run} summary_sha256 differs")
     speedup = {
@@ -186,8 +196,12 @@ def report(base: dict, change: dict) -> dict:
     speedup["ot_process_speedup"] = base["ot_process"]["s"] / change["ot_process"]["s"]
     rss = {
         f"{run}_{key}": change["wgflow_run"][run][key] - base["wgflow_run"][run][key]
-        for run in RUNS
+        for run in (*RUNS, README_LONG[0])
         for key in ("max_rss_kib", "bytecode_max_rss_kib")
+    }
+    growth = {
+        tree: result["wgflow_run"][README_LONG[0]]["max_rss_kib"] - result["wgflow_run"]["readme"]["max_rss_kib"]
+        for tree, result in (("base", base), ("change", change))
     }
     return {
         "command": "python3 tools/bench_trajectory.py --base BASE",
@@ -198,6 +212,8 @@ def report(base: dict, change: dict) -> dict:
         "speedup": speedup,
         # each run's peak RSS in the change less that in the base
         "wgflow_run_change_kib": rss,
+        # each tree's README peak RSS at 5,001 records less that at 1,001
+        "readme_run_max_rss_growth_kib": growth,
     }
 
 

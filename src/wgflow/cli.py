@@ -35,11 +35,10 @@ if TYPE_CHECKING:
     from .particles import ParticleHistory
     from .potential import Potential
 
-# Each command imports only the modules it runs, in the functions that run
-# them: ``ot`` and ``w2`` load ``measures`` and ``transport``; ``run`` loads
-# ``measures``, ``potential`` and ``jko``, with ``particles`` for a particle
-# run and ``analytic`` for an exact run or the weak residual, and never
-# ``transport``.
+# Each command imports only the modules it runs: ``ot`` and ``w2`` load
+# ``measures`` and ``transport``; ``run`` loads ``measures``, ``potential``
+# and ``jko``, with ``particles`` for a particle run and ``analytic`` for an
+# exact run or the weak residual.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -345,9 +344,8 @@ def _run_diagnostics(cfg: ExperimentConfig, traj: FlowTrajectory) -> dict:
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None, quiet: bool = False) -> int:
-    # a run loads only the modules it runs: loading ``transport``,
-    # ``particles`` and ``analytic`` up front cost the cusp+quadratic job
-    # 0.41 MB of peak RSS, its compile transients and their code objects
+    # loading ``transport``, ``particles`` and ``analytic`` up front cost the
+    # cusp+quadratic job 0.41 MB of peak RSS, compiling from source
     from .jko import ConvergenceFailure, run_flow
 
     try:
@@ -364,8 +362,7 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         return _error_record("output", EXIT_CONFIG, field="out_dir", message=str(exc))
-    # implicit and exact runs spill their states to the temporary directory:
-    # a TMPDIR that is set but unusable is refused, not passed over for /tmp
+    # a run that spills its states refuses an unusable TMPDIR, not using /tmp
     tmp = os.environ.get("TMPDIR")
     if cfg.method != "particles" and tmp and not (os.path.isdir(tmp) and os.access(tmp, os.W_OK | os.X_OK)):
         return _error_record("output", EXIT_CONFIG, file=tmp, message="TMPDIR is not a writable directory")

@@ -140,9 +140,8 @@ class FlowTrajectory:
     ``FlowTrajectory(times, grids, energies, step_costs)`` reads them off one
     ``(K+1, n)`` array, which it freezes, and takes ``step_squares`` off
     them: one handed in as C-contiguous float64 is not copied, and ``rows``
-    returns views of it.  A trajectory
-    that ``_trajectory`` makes reads them from its reader when they are
-    read: from a temporary file (``_spill``) for ``run_flow`` and exact
+    returns views of it.  A trajectory that ``_trajectory`` makes reads them
+    from its reader when they are read: from a temporary file (``_spill``) for ``run_flow`` and exact
     runs, or built off a particle history (``particles.quantile_trajectory``);
     ``grids``, all ``(K+1, n)`` rows, is then built each time it is read.
     """
@@ -153,8 +152,7 @@ class FlowTrajectory:
         if g.shape[0] != np.size(times):
             raise DomainError("trajectory arrays have inconsistent lengths")
         read = lambda lo, hi: g[lo:hi]  # noqa: E731
-        squares = _step_squares(read, g.shape[0], g.shape[1])
-        self._hold(times, read, g.shape[1], energies, step_costs, squares)
+        self._hold(times, read, g.shape[1], energies, step_costs, _step_squares(read, *g.shape))
         g.flags.writeable = False
 
     @classmethod
@@ -218,9 +216,8 @@ def _row_blocks(read, count: int, n: int):
 
 def _step_squares(read, count: int, n: int, each=None) -> np.ndarray:
     """``W2^2(row k, row k+1)`` of the ``count`` rows of length ``n`` that
-    ``read(lo, hi)`` reads, a block of rows at a time (``_row_blocks``),
-    each row's bit for bit the row's own.  ``each(states, chunk)``, if
-    given, is called first on each chunk of rows of the ``states``."""
+    ``read`` reads, each row's bit for bit the row's own, in one pass of
+    ``_row_blocks`` that first calls ``each(states, chunk)`` if given."""
     squares = np.empty(max(count - 1, 0))
     for states, steps, block in _row_blocks(read, count, n):
         if each is not None:
@@ -256,9 +253,8 @@ def _spill(rows, n: int):
 
 def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory:
     """FlowTrajectory of the finished states ``read(lo, hi)`` reads, rows of
-    length ``n``: their energies, and step costs ``W2^2 / (2 span)`` that
-    are 0 over a span of length 0, taken in the one pass of
-    ``_step_squares``.  Each chunk of rows is checked as it is read."""
+    length ``n``: their energies, each chunk checked as it is read, and step
+    costs ``W2^2 / (2 span)``, 0 over a span of 0, in one ``_step_squares``."""
     times = np.asarray(times, dtype=float)
     m = np.full(n, 1.0 / n)
     energies = np.empty(times.size)

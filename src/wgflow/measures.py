@@ -38,8 +38,7 @@ def _check_grids(v: np.ndarray):
 
 def _row_w2sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entry k is the squared discrete W2 distance between rows k of ``a`` and
-    ``b`` (``b`` if 1-D).  Its temporaries are the size of ``a``: a pass over
-    a trajectory hands it one block of rows at a time (``jko._row_blocks``)."""
+    ``b`` (``b`` if 1-D); its temporaries are the size of ``a``."""
     d = a - b
     return np.mean(d * d, axis=1)
 

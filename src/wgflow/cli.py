@@ -292,10 +292,13 @@ def _write_particle_trajectory(path: str, history: ParticleHistory):
 
 
 def _write_summary(path: str, traj: FlowTrajectory):
-    rows = np.column_stack((traj.energies[1:], traj.speeds, traj.step_costs))
     # the first state has no step behind it: its speed and cost are empty
     head = "t,energy,metric_derivative,step_cost\n%.17g,%.17g,,\n" % (traj.times[0], traj.energies[0])
-    _write_records(path, head, [(traj.times[1:], rows, [(slice(None), "\0,%.17g,%.17g,%.17g\n")])])
+    t, e, v, c = traj.times[1:], traj.energies[1:], traj.speeds, traj.step_costs
+    # a part per ``_TEMPLATE_ROWS`` steps: the columns are never stacked whole
+    cuts = (slice(lo, lo + _TEMPLATE_ROWS) for lo in range(0, c.size, _TEMPLATE_ROWS))
+    parts = ((t[s], np.column_stack((e[s], v[s], c[s])), [(slice(None), "\0,%.17g,%.17g,%.17g\n")]) for s in cuts)
+    _write_records(path, head, parts)
 
 
 def _write_json(path: str, obj):

@@ -132,18 +132,18 @@ class FlowTrajectory:
     ``state(k)`` one row as a ``QuantileGrid``; every pass over the states
     reads them a block of rows at a time (``row_blocks``).  ``energies[k]`` is
     the interaction energy of row k, ``step_squares[k]`` the squared step
-    distance ``W2^2(row k, row k+1)`` of the rows, ``step_costs[k]`` that
-    over twice the step length, ``W2^2 / (2 (times[k+1]-times[k]))``, and
-    ``speeds[k]`` the speed ``W2 / (times[k+1]-times[k])``.
+    distance ``W2^2(row k, row k+1)``, ``step_costs[k]`` that over twice the
+    step length ``times[k+1]-times[k]`` and ``speeds[k]`` its root over it.
 
     A trajectory holds its rows as a reader, ``rows``.
     ``FlowTrajectory(times, grids, energies, step_costs)`` reads them off one
-    ``(K+1, n)`` array, which it freezes, and takes ``step_squares`` off
-    them: one handed in as C-contiguous float64 is not copied, and ``rows``
-    returns views of it.  A trajectory that ``_trajectory`` makes reads them
-    from its reader when they are read: from a temporary file (``_spill``) for ``run_flow`` and exact
-    runs, or built off a particle history (``particles.quantile_trajectory``);
-    ``grids``, all ``(K+1, n)`` rows, is then built each time it is read.
+    ``(K+1, n)`` array, which it freezes, and takes ``step_squares`` off them:
+    one handed in as C-contiguous float64 is not copied, and ``rows`` returns
+    views of it.  A trajectory that ``_trajectory`` makes reads them from its
+    reader when they are read: from a temporary file (``_spill``) for
+    ``run_flow`` and exact runs, or built off a particle history
+    (``particles.quantile_trajectory``); ``grids``, all ``(K+1, n)`` rows, is
+    then built each time it is read.
     """
 
     def __init__(self, times, grids, energies, step_costs):
@@ -152,18 +152,12 @@ class FlowTrajectory:
         if g.shape[0] != np.size(times):
             raise DomainError("trajectory arrays have inconsistent lengths")
         read = lambda lo, hi: g[lo:hi]  # noqa: E731
-        self._hold(times, read, g.shape[1], energies, step_costs, _step_squares(read, *g.shape))
+        t, e, c = (np.array(a, dtype=float) for a in (times, energies, step_costs))
+        self._hold(t, read, g.shape[1], e, c, _step_squares(read, *g.shape))
         g.flags.writeable = False
 
-    @classmethod
-    def _from_reader(cls, times, read, n: int, energies, step_costs, step_squares) -> FlowTrajectory:
-        """The trajectory whose rows ``lo..hi-1`` are ``read(lo, hi)``."""
-        traj = cls.__new__(cls)
-        traj._hold(times, read, n, energies, step_costs, step_squares)
-        return traj
-
-    def _hold(self, times, read, n: int, energies, step_costs, step_squares):
-        t, e, c, q = (np.array(a, dtype=float) for a in (times, energies, step_costs, step_squares))
+    def _hold(self, t, read, n: int, e, c, q):
+        # the float64 arrays are the trajectory's own: frozen, not copied
         if not (t.size == e.size == c.size + 1):
             raise DomainError("trajectory arrays have inconsistent lengths")
         for arr in (t, e, c, q):
@@ -177,7 +171,8 @@ class FlowTrajectory:
     @property
     def speeds(self) -> np.ndarray:
         """Per-step speed ``W2(row k, row k+1) / (times[k+1] - times[k])``."""
-        return np.sqrt(self.step_squares) / np.diff(self.times)
+        v = np.sqrt(self.step_squares)
+        return np.divide(v, np.diff(self.times), out=v)
 
     @property
     def grids(self) -> np.ndarray:
@@ -215,9 +210,8 @@ def _row_blocks(read, count: int, n: int):
 
 
 def _step_squares(read, count: int, n: int, each=None) -> np.ndarray:
-    """``W2^2(row k, row k+1)`` of the ``count`` rows of length ``n`` that
-    ``read`` reads, each row's bit for bit the row's own, in one pass of
-    ``_row_blocks`` that first calls ``each(states, chunk)`` if given."""
+    """``W2^2(row k, row k+1)`` of the ``count`` rows of length ``n`` that ``read`` reads,
+    in one pass of ``_row_blocks`` that first calls ``each(states, chunk)`` if given."""
     squares = np.empty(max(count - 1, 0))
     for states, steps, block in _row_blocks(read, count, n):
         if each is not None:
@@ -255,7 +249,7 @@ def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory
     """FlowTrajectory of the finished states ``read(lo, hi)`` reads, rows of
     length ``n``: their energies, each chunk checked as it is read, and step
     costs ``W2^2 / (2 span)``, 0 over a span of 0, in one ``_step_squares``."""
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     m = np.full(n, 1.0 / n)
     energies = np.empty(times.size)
 
@@ -266,7 +260,10 @@ def _trajectory(W: Potential, times: np.ndarray, read, n: int) -> FlowTrajectory
     squares = _step_squares(read, times.size, n, energy)
     spans = np.diff(times)
     costs = np.divide(squares, 2.0 * spans, out=np.zeros_like(squares), where=spans > 0.0)
-    return FlowTrajectory._from_reader(times, read, n, energies, costs, squares)
+    # a trajectory whose rows ``lo..hi-1`` are ``read(lo, hi)``
+    traj = FlowTrajectory.__new__(FlowTrajectory)
+    traj._hold(times, read, n, energies, costs, squares)
+    return traj
 
 
 def _pava(y: np.ndarray) -> np.ndarray:

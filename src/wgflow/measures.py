@@ -37,8 +37,7 @@ def _check_grids(v: np.ndarray):
 
 
 def _row_w2sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry k is the squared discrete W2 distance between rows k of ``a`` and
-    ``b`` (``b`` if 1-D); its temporaries are the size of ``a``."""
+    """Entry k is the squared discrete W2 distance of rows k of ``a`` and ``b`` (``b`` if 1-D)."""
     d = a - b
     return np.mean(d * d, axis=1)
 

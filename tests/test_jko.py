@@ -595,6 +595,19 @@ def test_flow_trajectory_freezes_its_grids():
     assert np.array_equal(strided.grids, grids)
 
 
+def test_flow_trajectory_freezes_its_own_arrays_not_the_callers():
+    """A trajectory's times, energies and step arrays are frozen; those
+    handed to the array constructor or to ``_trajectory`` stay writable."""
+    from wgflow.jko import _trajectory
+
+    grids, times, energies, step_costs = _small_trajectory()
+    made = _trajectory(REPULSIVE, times, lambda lo, hi: grids[lo:hi], 3)
+    for traj in (FlowTrajectory(times, grids, energies, step_costs), made):
+        for arr in (traj.times, traj.energies, traj.step_costs, traj.step_squares):
+            assert not arr.flags.writeable
+    assert times.flags.writeable and energies.flags.writeable and step_costs.flags.writeable
+
+
 @pytest.mark.parametrize(
     "W",
     [REPULSIVE, Potential(eta=-1.0, beta=1.0), Potential(eta=-1.0, terms=((0.5, 1.5),))],

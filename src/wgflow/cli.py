@@ -86,10 +86,13 @@ def _error_record(kind: str, code: int, **extra) -> int:
 
 def _number(d: dict, key: str, default) -> float:
     raw = d.get(key, default)
+    # JSON's true and false are Python bools, which are ints
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(key, f"must be a number, got {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"must be a number, got {raw!r}")
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(key, f"must be finite, got {raw!r}")
     return value
@@ -115,7 +118,7 @@ def _parse(name: str, from_json_dict, value):
 
 def _integer(d: dict, key: str, default) -> int:
     value = _number(d, key, default)
-    if isinstance(d.get(key), bool) or not value.is_integer():
+    if not value.is_integer():
         raise ConfigError(key, f"must be an integer, got {d.get(key)!r}")
     return int(value)
 

@@ -95,6 +95,12 @@ def test_run_refuses_uncertifiable_potential(tmp_path, capsys):
         ("jko", "inner_max_iters", 0),
         ("jko", "inner_max_iters", 1.5),
         ("jko", "tau", float("nan")),
+        ("jko", "t_end", True),
+        ("jko", "inner_tol", True),
+        ("particles", "dt", True),
+        ("jko", "tau", "0.01"),
+        ("jko", "n", "10"),
+        ("jko", "n", 10**400),
     ],
 )
 def test_run_names_the_bad_field(tmp_path, capsys, method, key, value):

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .measures import DomainError, Measure1D, midpoint_nodes, to_quantile_grid
+from .measures import DomainError, Measure1D, finite_number, midpoint_nodes, to_quantile_grid
 
 if TYPE_CHECKING:
     from .jko import FlowTrajectory, JkoConfig
@@ -85,17 +85,10 @@ def _error_record(kind: str, code: int, **extra) -> int:
 
 
 def _number(d: dict, key: str, default) -> float:
-    raw = d.get(key, default)
-    # JSON's true and false are Python bools, which are ints
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(key, f"must be a number, got {raw!r}")
     try:
-        value = float(raw)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {raw!r}")
-    return value
+        return finite_number(d.get(key, default), key)
+    except DomainError as exc:
+        raise ConfigError(key, str(exc))
 
 
 def _object(value, name: str, keys) -> dict:

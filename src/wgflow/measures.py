@@ -49,6 +49,20 @@ def midpoint_nodes(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
+def finite_number(value, name: str) -> float:
+    """``value`` as a float, refused by ``name`` unless it is a finite real
+    number; a bool (JSON's true or false) or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = np.inf
+    if not np.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def _as_float(x) -> float:
     v = float(x)
     if not np.isfinite(v):

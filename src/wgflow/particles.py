@@ -22,9 +22,10 @@ import numpy as np
 
 from .jko import FlowTrajectory, _trajectory
 from .measures import MASS_TOL, DomainError, midpoint_nodes, piece_index
-from .potential import PAIR_BLOCK, Potential, _split, pair_energy, pair_force
+from .potential import Potential, _split, pair_energy, pair_force
 
 _EVENT_TOL = 1e-13
+CHUNK_POSITIONS = 1 << 15  # positions per chunk of summed substeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +130,12 @@ def _summed_substeps(x, v, t: float, t_end: float, dt: float, stop: float):
     The rows are the sum of the position and ``dt * v`` rows, which adds in
     the order of ``x + dt * v`` per substep.  They stop before ``stop``,
     before a change of ties or order (which changes the velocity), and at
-    ``PAIR_BLOCK`` positions; there are enough to reach the first contact or
-    ``t_end`` if they fit.
+    ``CHUNK_POSITIONS`` positions; there are enough to reach the first
+    contact or ``t_end`` if they fit.
     """
     rel = v[:-1] - v[1:]
     first = _crossing_times(np.diff(x), rel).min(initial=np.inf)
-    rows = int(max(1, min(PAIR_BLOCK // x.size, min(first, t_end - t) / dt + 2)))
+    rows = int(max(1, min(CHUNK_POSITIONS // x.size, min(first, t_end - t) / dt + 2)))
     clock = np.cumsum(np.concatenate(([t], np.full(rows, dt))))
     X = np.empty((rows + 1, x.size))
     X[0], X[1:] = x, dt * v
@@ -166,8 +167,8 @@ def integrate(W: Potential, st0: ParticleState, t_end: float, dt: float) -> Part
     (``beta = 0``, no power terms) the velocities depend only on the order,
     the ties and the masses, so a chunk sums its substeps at once
     (``_summed_substeps``) up to the next contact, change of ties or
-    ``t_end``, or ``PAIR_BLOCK`` positions, and takes the substep with the
-    contact or the shortened length last.  Any other potential takes one
+    ``t_end``, or ``CHUNK_POSITIONS`` positions, and takes the substep with
+    the contact or the shortened length last.  Any other potential takes one
     substep per chunk.  Either way each row equals the forward Euler substep
     from the row before, bit for bit.
     """

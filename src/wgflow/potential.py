@@ -9,20 +9,18 @@ and ``pair_hessian``, which applies the energy's Hessian on the monotone cone
 to a vector.  The first three take one row of points or an array of rows,
 such as one block of a trajectory's rows.  The cusp and quadratic terms are closed form,
 and a power term with p = 2 joins the quadratic.  Every other power term is
-summed once per pair over the lower triangle of the sorted points, in row
-blocks of at most ``PAIR_BLOCK`` elements, where the gaps ``x_i - x_j`` are
-nonnegative; no n x n array is held, and the blocks of one call share one
-workspace (``_gap_blocks``).
+summed once per pair over the lower triangle of the sorted points, where
+the gaps ``x_i - x_j`` are nonnegative, in tiles (``_lower_tiles``); no n x n
+array is held, and the tiles of one call share one workspace (``_gap_tiles``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainError, QuantileGrid
+from .measures import DomainError, QuantileGrid, finite_number
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,10 @@ class Potential:
     ``eta`` weights the |x| cusp (negative means a repulsive concave kink at
     the origin), ``beta`` the x^2/2 confinement, and each ``(c, p)`` in
     ``terms`` adds ``c * |x|**p`` with ``p > 1`` so the cusp coefficient is
-    unambiguous.  ``jko_eligible`` is False when any exponent exceeds 2, in
-    which case the quadratic growth bound fails and the implicit scheme
-    refuses the potential; evaluation and particle dynamics still work.
+    unambiguous; each value must be a finite number.  ``jko_eligible`` is
+    False when any exponent exceeds 2, in which case the quadratic growth
+    bound fails and the implicit scheme refuses the potential; evaluation and
+    particle dynamics still work.
     """
 
     eta: float = 0.0
@@ -42,9 +41,12 @@ class Potential:
     terms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "beta", float(self.beta))
-        terms = tuple((float(c), float(p)) for c, p in self.terms)
+        object.__setattr__(self, "eta", finite_number(self.eta, "eta"))
+        object.__setattr__(self, "beta", finite_number(self.beta, "beta"))
+        terms = tuple(
+            (finite_number(c, f"term {k} coefficient"), finite_number(p, f"term {k} exponent"))
+            for k, (c, p) in enumerate(self.terms)
+        )
         object.__setattr__(self, "terms", terms)
         for c, p in terms:
             if not p > 1.0:
@@ -93,39 +95,47 @@ def deriv_smooth(W: Potential, x):
     return out if np.ndim(x) else float(out)
 
 
-# Largest number of pair elements one power-term block holds at once.
-PAIR_BLOCK = 1 << 15
+PANEL_ROWS = 64
+PAIR_TILE = 64 * 192
 
 
-def _triangle_blocks(n: int):
-    """Row blocks ``(lo, hi)`` that tile ``0:n``; block ``lo:hi`` pairs its rows
-    with the columns ``0:hi``.  ``hi`` is the largest with
-    ``(hi - lo) * hi <= PAIR_BLOCK``, the root of a quadratic, or ``lo + 1``
-    when a row alone is longer."""
-    lo = 0
-    while lo < n:
-        hi = min(n, max(lo + 1, (lo + math.isqrt(lo * lo + 4 * PAIR_BLOCK)) // 2))
-        yield lo, hi
-        lo = hi
+def _lower_tiles(n: int):
+    """Tiles ``(lo, hi, c0, c1)``, rows ``lo:hi`` by columns ``c0:c1``, that
+    hold every pair ``i > j`` of ``0:n`` once: row panels of ``PANEL_ROWS``
+    rows, each cut into column tiles of at most ``PAIR_TILE`` elements.  A
+    tile with ``c1 > lo`` crosses the diagonal and also holds pairs
+    ``i <= j``."""
+    rows = min(PANEL_ROWS, PAIR_TILE)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        width = PAIR_TILE // (hi - lo)
+        for c0 in range(0, hi, width):
+            yield lo, hi, c0, min(hi, c0 + width)
 
 
-def _gap_blocks(x: np.ndarray):
-    """Yield ``(k, lo, hi, d, q)`` for each row ``k`` of sorted points ``x``
-    (one row, or an array of rows) and each block ``lo:hi`` of
-    ``_triangle_blocks``: ``d[a, j] = max(x_k[lo + a] - x_k[j], 0)`` holds the
-    block's gaps, 0 above the diagonal and on ties, and ``q``, of the same
-    shape, is free for their powers.  Both are views of one ``(2, size)``
-    workspace, ``size`` the largest block's, taken once per call and shared
-    by every block and row."""
+def _gap_tiles(x: np.ndarray):
+    """Yield ``(k, lo, hi, c0, c1, d, q)`` for each row ``k`` of sorted points
+    ``x`` (one row, or an array of rows) and each tile of ``_lower_tiles``:
+    ``d[a, b] = x_k[lo + a] - x_k[c0 + b]``, clamped at 0 only in a tile that
+    crosses the diagonal, and ``q``, free for their powers, are views of one
+    ``(2, size)`` workspace taken once per call.  ``d`` is the product
+    ``[x_i, 1] @ [1, -x_j]``: both products are exact, so it has the bits of
+    ``np.subtract``, which is slower on narrow tiles."""
     n = x.shape[-1]
-    blocks = list(_triangle_blocks(n))
-    work = np.empty((2, max(((hi - lo) * hi for lo, hi in blocks), default=0)))
+    tiles = list(_lower_tiles(n))
+    work = np.empty((2, max(((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in tiles), default=0)))
+    points, minus = np.ones((n, 2)), np.ones((2, n))
     for k, row in enumerate(x.reshape(-1, n)):
-        for lo, hi in blocks:
-            d, q = (w[: (hi - lo) * hi].reshape(hi - lo, hi) for w in work)
-            np.subtract(row[lo:hi, None], row[None, :hi], out=d)
-            np.maximum(d, 0.0, out=d)
-            yield k, lo, hi, d, q
+        points[:, 0] = row
+        np.subtract(0.0, row, out=minus[1])
+        for lo, hi, c0, c1 in tiles:
+            size = (hi - lo) * (c1 - c0)
+            d = work[0, :size].reshape(hi - lo, c1 - c0)
+            q = work[1, :size].reshape(hi - lo, c1 - c0)
+            np.matmul(points[lo:hi], minus[:, c0:c1], out=d)
+            if c1 > lo:
+                np.maximum(d, 0.0, out=d)
+            yield k, lo, hi, c0, c1, d, q
 
 
 def _power(d: np.ndarray, e: float, out: np.ndarray):
@@ -184,8 +194,8 @@ def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: b
     only.
 
     A power term ``c|d|^p`` is summed row by row over the lower triangle of
-    the sorted points in the row blocks of ``_triangle_blocks``: there
-    ``d = max(x_i - x_j, 0)``, so the block needs no ``abs`` or ``sign``, and
+    the sorted points in the tiles of ``_gap_tiles``: there
+    ``d = max(x_i - x_j, 0)``, so a tile needs no ``abs`` or ``sign``, and
     pairs above the diagonal and ties add 0.  One power ``q = d**(p - 1)``
     gives the pair force ``c p q``, added to row i and taken from row j, and
     the pair energy ``c q d``.
@@ -200,13 +210,13 @@ def _pair_sums(W: Potential, x: np.ndarray, m: np.ndarray, cone: bool, energy: b
     # the power terms, row by row, on flat views of the outputs
     es = None if e is None else e.reshape(-1)
     fs = None if f is None else f.reshape(-1, n)
-    for k, lo, hi, d, q in _gap_blocks(x) if terms else ():
-        mi, mj = m[lo:hi], m[:hi]
+    for k, lo, hi, c0, c1, d, q in _gap_tiles(x) if terms else ():
+        mi, mj = m[lo:hi], m[c0:c1]
         for c, p in terms:
             _power(d, p - 1.0, q)
             if force:
                 fs[k, lo:hi] += (c * p) * (q @ mj)
-                fs[k, :hi] -= (c * p) * (mi @ q)
+                fs[k, c0:c1] -= (c * p) * (mi @ q)
             if energy:
                 es[k] += c * float(mi @ np.multiply(q, d, out=q) @ mj)
     return (float(e) if energy and x.ndim == 1 else e), f
@@ -223,8 +233,8 @@ def pair_energy(W: Potential, x: np.ndarray, m: np.ndarray):
     (s the mass below point i minus the mass above it), the quadratic is
     beta/2 times the variance; both are O(n), and a power term with p = 2
     joins the quadratic.  Only the other power terms are summed pair by pair,
-    once per pair, over the lower triangle in blocks of at most
-    ``PAIR_BLOCK`` elements.
+    once per pair, over the lower triangle in tiles of at most
+    ``PAIR_TILE`` elements.
     """
     return _pair_sums(W, x, m, cone=True, energy=True, force=False)[0]
 
@@ -257,31 +267,32 @@ def pair_hessian(W: Potential, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> n
 
     The cusp is linear on the cone and adds nothing; the quadratic, with any
     p = 2 term folded in, adds ``beta * (v - m @ v)``.  Every other power term
-    takes the lower-triangle blocks of ``pair_energy``, where the symmetric
+    takes the lower-triangle tiles of ``pair_energy``, where the symmetric
     pair weight ``c p (p-1) q / d`` with ``q = d**(p - 1)`` enters rows i and
     j alike.  A tied pair (``d = 0``) gets weight 0: that is ``W''(0)`` for
     p > 2, and for p < 2, where ``W''(0)`` is infinite, it is never formed.
     A pair closer than the smallest normal float is not divided, since
     ``q / d`` can pass the float range there: it keeps the weight
     ``c p (p-1) q``, which is 0 only on a tie.
-    Memory stays within one block's workspace: the Hessian is never held.
+    Memory stays within one tile's workspace: the Hessian is never held.
     """
     beta, terms = _split(W)
     h = beta * (v - m @ v)
     if not terms:
         return h
-    # rows (m, m v): a block's product with them gives both sums of a row
+    # rows (m, m v): a tile's product with them gives both sums of a row
     mv = np.stack((m, m * v))
-    for _, lo, hi, d, w in _gap_blocks(x):
-        apart = d >= np.finfo(float).tiny
+    tiny = np.finfo(float).tiny
+    for _, lo, hi, c0, c1, d, w in _gap_tiles(x):
+        apart = d >= tiny
         for c, p in terms:
             _power(d, p - 1.0, w)
             np.divide(w, d, out=w, where=apart)
             k = c * p * (p - 1.0)
-            right = k * (w @ mv[:, :hi].T)
+            right = k * (w @ mv[:, c0:c1].T)
             left = k * (mv[:, lo:hi] @ w)
             h[lo:hi] += v[lo:hi] * right[:, 0] - right[:, 1]
-            h[:hi] += v[:hi] * left[0] - left[1]
+            h[c0:c1] += v[c0:c1] * left[0] - left[1]
     return h
 
 

@@ -264,40 +264,42 @@ def dense_pair_hessian(beta, terms, x, m, v):
     return (h * dv) @ m, np.abs(h * dv) @ m
 
 
-def blocked_power_sums(terms, x, m, blocks):
+def blocked_power_sums(terms, x, m, tiles):
     """Energy and force of the power terms ``sum c|d|^p`` (no p = 2 term) for
-    sorted points ``x``, summed over the lower-triangle ``blocks`` in the
-    kernel's order, with a fresh ``d ** (p - 1)`` array for every block and
-    term: the kernel's arithmetic without its shared workspace, so the two
-    agree bit for bit."""
+    sorted points ``x``, summed over the lower-triangle ``tiles``
+    ``(lo, hi, c0, c1)`` in the kernel's order, with fresh arrays for every
+    tile and term: gaps by subtraction, every tile clamped at 0, and a fresh
+    ``d ** (p - 1)``.  That is the kernel's arithmetic without its shared
+    workspace, its matrix-product gaps or its unclamped tiles below the
+    diagonal, so the two agree bit for bit."""
     e, f = 0.0, np.zeros(x.size)
-    for lo, hi in blocks:
-        d = np.maximum(x[lo:hi, None] - x[None, :hi], 0.0)
-        mi, mj = m[lo:hi], m[:hi]
+    for lo, hi, c0, c1 in tiles:
+        d = np.maximum(x[lo:hi, None] - x[None, c0:c1], 0.0)
+        mi, mj = m[lo:hi], m[c0:c1]
         for c, p in terms:
             q = d ** (p - 1.0)
             f[lo:hi] += (c * p) * (q @ mj)
-            f[:hi] -= (c * p) * (mi @ q)
+            f[c0:c1] -= (c * p) * (mi @ q)
             e += c * float(mi @ (q * d) @ mj)
     return e, f
 
 
-def blocked_power_hessian(terms, x, m, v, blocks):
-    """``pair_hessian``'s power-term sums in the kernel's block order, with
-    fresh arrays for every block and term, as ``blocked_power_sums``."""
+def blocked_power_hessian(terms, x, m, v, tiles):
+    """``pair_hessian``'s power-term sums in the kernel's tile order, with
+    fresh arrays for every tile and term, as ``blocked_power_sums``."""
     h = np.zeros(x.size)
     mv = np.stack((m, m * v))
-    for lo, hi in blocks:
-        d = np.maximum(x[lo:hi, None] - x[None, :hi], 0.0)
+    for lo, hi, c0, c1 in tiles:
+        d = np.maximum(x[lo:hi, None] - x[None, c0:c1], 0.0)
         apart = d >= np.finfo(float).tiny
         for c, p in terms:
             w = d ** (p - 1.0)
             w = np.divide(w, d, out=w, where=apart)
             k = c * p * (p - 1.0)
-            right = k * (w @ mv[:, :hi].T)
+            right = k * (w @ mv[:, c0:c1].T)
             left = k * (mv[:, lo:hi] @ w)
             h[lo:hi] += v[lo:hi] * right[:, 0] - right[:, 1]
-            h[:hi] += v[:hi] * left[0] - left[1]
+            h[c0:c1] += v[c0:c1] * left[0] - left[1]
     return h
 
 

@@ -75,6 +75,25 @@ def test_the_first_tree_alternates_between_passes():
         assert trees == [first, ab.TREES[1 - i % 2]] * 2
 
 
+def test_both_trees_are_measured_through_paths_of_equal_length(monkeypatch, tmp_path):
+    base = tmp_path / "a_much_longer_base_checkout"
+    base.mkdir()
+    seen = []
+
+    def measure(group, part, root):
+        seen.append((part, root, os.path.realpath(root)))
+        return {"x_s": 1.0}
+
+    monkeypatch.setattr(ab, "_measure", measure)
+    report = ab.compare("step", str(base))
+    assert len(seen) == 2 * 2 * ab.PASSES
+    assert len({len(root) for _, root, _ in seen}) == 1
+    # the symlinks reach the two trees, and are gone with the report
+    assert {real for _, _, real in seen} == {os.path.realpath(base), os.path.realpath(ab.ROOT)}
+    assert not any(os.path.lexists(root) for _, root, _ in seen)
+    assert report["speedup"]["power/x_s"]["median"] == 1.0
+
+
 def test_help_lists_the_six_groups(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["ab.py", "--help"])
     with pytest.raises(SystemExit) as stop:

@@ -116,6 +116,31 @@ def test_run_names_the_bad_field(tmp_path, capsys, method, key, value):
 
 
 @pytest.mark.parametrize(
+    "method, potential",
+    [
+        ("jko", {"eta": -1.0, "beta": float("inf")}),
+        ("jko", {"eta": float("nan")}),
+        ("particles", {"eta": float("nan")}),
+        ("jko", {"eta": -1.0, "terms": [[float("nan"), 1.5]]}),
+        ("particles", {"eta": -1.0, "terms": [[float("nan"), 1.5]]}),
+        ("particles", {"eta": -1.0, "terms": [[1.0, float("inf")]]}),
+        ("jko", {"eta": -1.0, "terms": [[True, 1.5]]}),
+        ("jko", {"eta": -1.0, "terms": [["1", 1.5]]}),
+    ],
+)
+def test_run_refuses_a_potential_value_that_is_not_a_finite_number(tmp_path, capsys, method, potential):
+    # the number rule of every other number field: no bool, no string, finite
+    cfg = dict(REPULSIVE_DIRAC_RUN, method=method, t_end=0.1, dt=1e-2, potential=potential)
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["field"] == "potential"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "patch, field, named",
     [
         ({"potential": "x"}, "potential", ""),

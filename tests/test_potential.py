@@ -1,5 +1,6 @@
 """Potential evaluation, energies, force fields, and the cone calculus."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,9 +32,10 @@ from oracles import (
     midpoint_convexity_violated,
 )
 from wgflow.potential import (
-    PAIR_BLOCK,
+    PAIR_TILE,
     ConvexityCertificate,
-    _triangle_blocks,
+    _gap_tiles,
+    _lower_tiles,
     pair_energy,
     pair_energy_force,
     pair_force,
@@ -269,7 +271,7 @@ def _pair_case(draw):
 
 
 def _tied_case(W):
-    """Two ties, one across a block boundary at budget 2, and a vector that
+    """Two ties, one across a tile boundary at budget 2, and a vector that
     differs across each tie."""
     x = np.array([-0.5, -0.5, 0.25, 1.0, 1.0])
     m = np.array([0.125, 0.25, 0.25, 0.125, 0.25])
@@ -282,8 +284,9 @@ def _tied_case(W):
 @example(_tied_case(Potential(eta=0.5, terms=((1.0, 3.0), (-0.25, 1.5)))))
 def test_pair_kernel_matches_dense_reference(case):
     W, x, m, shift, block, v = case
-    # a small block budget sends the power terms through the multi-block path
-    with mock.patch.object(wgflow.potential, "PAIR_BLOCK", block):
+    # a small tile budget sends the power terms through several row panels,
+    # each cut into several column tiles
+    with mock.patch.object(wgflow.potential, "PAIR_TILE", block):
         energy = pair_energy(W, x, m)
         forces = [pair_force(W, x, m, cone=c) for c in (True, False)]
         both = [pair_energy_force(W, x, m, cone=c) for c in (True, False)]
@@ -310,17 +313,25 @@ def test_pair_kernel_matches_dense_reference(case):
     assert np.array_equal(moved_hessian, hessian)
 
 
-@pytest.mark.parametrize("budget", [1, 2, 7, 64, PAIR_BLOCK])
+@pytest.mark.parametrize("budget", [1, 2, 7, 64, 1000, PAIR_TILE, 32768])
 def test_triangle_blocks_tile_rows_within_budget(budget):
-    with mock.patch.object(wgflow.potential, "PAIR_BLOCK", budget):
-        for n in (1, 2, 3, 10, 57, 400, 4000):
-            blocks = list(_triangle_blocks(n))
-            assert blocks[0][0] == 0 and blocks[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            for lo, hi in blocks:
-                # within budget, and the widest such block (or one row)
-                assert hi > lo and ((hi - lo) * hi <= budget or hi == lo + 1)
-                assert hi == n or (hi + 1 - lo) * (hi + 1) > budget
+    # the tiles of the strict lower triangle
+    with mock.patch.object(wgflow.potential, "PAIR_TILE", budget):
+        for n in (1, 2, 3, 10, 57, 400) + ((1000,) if budget >= 64 else ()):
+            held = np.zeros((n, n), dtype=np.int8)
+            for lo, hi, c0, c1 in _lower_tiles(n):
+                assert 0 <= lo < hi <= n and 0 <= c0 < c1 <= hi
+                assert (hi - lo) * (c1 - c0) <= budget
+                held[lo:hi, c0:c1] += 1
+            # every pair i > j once, and no pair i <= j more than once
+            assert np.all(held[np.tril_indices(n, -1)] == 1) and held.max(initial=1) == 1
+            # on strictly decreasing points every gap i > j is negative, so a
+            # tile that is not clamped shows it: only the tiles that cross
+            # the diagonal (c1 > lo) are
+            x = np.sort(np.random.default_rng(n).normal(size=(2, n)), axis=1)[:, ::-1].copy()
+            for k, lo, hi, c0, c1, d, _ in _gap_tiles(x):
+                gaps = x[k, lo:hi, None] - x[k, None, c0:c1]
+                assert np.array_equal(d, np.maximum(gaps, 0.0) if c1 > lo else gaps)
 
 
 def test_potential_json_round_trip():
@@ -362,14 +373,14 @@ def test_pair_kernel_on_rows_equals_row_by_row_bits():
     assert max(sizes) > 4096
 
 
-@pytest.mark.parametrize("budget", [7, 64, 1000, PAIR_BLOCK])
+@pytest.mark.parametrize("budget", [7, 64, 1000, PAIR_TILE, 32768])
 def test_power_kernels_share_a_workspace_without_stale_data(budget):
-    # calls at interleaved sizes, exponents and row counts, each with blocks
-    # of several sizes, against fresh arrays per block; p = 1.5 and p = 3 take
+    # calls at interleaved sizes, exponents and row counts, each with tiles
+    # of several sizes, against fresh arrays per tile; p = 1.5 and p = 3 take
     # numpy's square-root and square paths for d ** (p - 1)
     rng = np.random.default_rng(20261020)
     exponents = (1.5, 3.0, 1.25, 1.1398, 2.5)
-    with mock.patch.object(wgflow.potential, "PAIR_BLOCK", budget):
+    with mock.patch.object(wgflow.potential, "PAIR_TILE", budget):
         for case in range(60):
             n = int(rng.integers(1, 90 if budget < 1000 else 500))
             rows = int(rng.integers(1, 4))
@@ -383,15 +394,37 @@ def test_power_kernels_share_a_workspace_without_stale_data(budget):
             if case % 4 == 1:
                 terms += ((0.5, exponents[(case + 1) % 5]),)
             W = Potential(terms=terms)
-            blocks = list(_triangle_blocks(n))
-            refs = [blocked_power_sums(terms, row, m, blocks) for row in x]
+            tiles = list(_lower_tiles(n))
+            refs = [blocked_power_sums(terms, row, m, tiles) for row in x]
             e, f = pair_energy_force(W, x, m, cone=True)
             assert np.array_equal(e, [r[0] for r in refs])
             assert np.array_equal(f, [r[1] for r in refs])
             assert np.array_equal(pair_energy(W, x, m), e)
             assert np.array_equal(pair_force(W, x[0], m, cone=False), refs[0][1])
             assert pair_energy(W, x[-1], m) == refs[-1][0]
-            assert np.array_equal(pair_hessian(W, x[0], m, v), blocked_power_hessian(terms, x[0], m, v, blocks))
+            assert np.array_equal(pair_hessian(W, x[0], m, v), blocked_power_hessian(terms, x[0], m, v, tiles))
+
+
+def test_power_kernels_hold_one_workspace_and_arrays_of_n():
+    # one call holds one workspace of two tile rows, the Hessian's mask of
+    # one byte per tile element, and a few arrays of n floats (about eight;
+    # twelve leave room for temporaries): no n x n array, no block larger
+    # than a tile
+    n = 4000
+    rng = np.random.default_rng(4000)
+    x = np.sort(rng.normal(size=n))
+    m = np.full(n, 1.0 / n)
+    v = rng.normal(size=n)
+    W = Potential(eta=0.5, beta=0.25, terms=((1.0, 1.5),))
+    bound = 2 * 8 * PAIR_TILE + PAIR_TILE + 12 * 8 * n
+    for call in (lambda: pair_energy_force(W, x, m, cone=False), lambda: pair_hessian(W, x, m, v)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_hessian_weight_of_a_subnormal_gap_is_not_zero():

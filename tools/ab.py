@@ -10,7 +10,9 @@ GROUP is one of ``exact``, ``pair_kernels``, ``particles``, ``simplex``,
 measures.  A group is a few parts, and each part is measured in a fresh
 interpreter that imports ``wgflow`` from one tree's ``src`` and writes no
 bytecode into either tree; the measuring code, ``perfbench`` and
-``tests/oracles.py`` are this checkout's for both trees.  A pass measures
+``tests/oracles.py`` are this checkout's for both trees.  Each tree is
+reached through a symlink in one temporary directory, the two of equal
+length.  A pass measures
 every part in both trees, one right after the other, and the tree that runs
 first alternates from pass to pass (``schedule``).
 
@@ -133,10 +135,16 @@ def _measure(group: str, part: str, root: str) -> dict:
 def compare(group: str, base_root: str) -> dict:
     """The report of ``group`` measured in ``base_root`` and in this checkout."""
     parts = GROUPS[group][0]
-    roots = {"base": base_root, "change": ROOT}
     runs = {tree: [{} for _ in range(PASSES)] for tree in TREES}
-    for i, part, tree in schedule(PASSES, parts):
-        runs[tree][i].update(flatten(_measure(group, part, roots[tree]), f"{part}/"))
+    with tempfile.TemporaryDirectory() as tmp:
+        # each tree through a symlink of the same length: the length of a
+        # checkout's path moves its readings (it changes PYTHONPATH, the
+        # environment's size and the compiled code's file names)
+        roots = {tree: os.path.join(tmp, str(i)) for i, tree in enumerate(TREES)}
+        os.symlink(base_root, roots["base"])
+        os.symlink(ROOT, roots["change"])
+        for i, part, tree in schedule(PASSES, parts):
+            runs[tree][i].update(flatten(_measure(group, part, roots[tree]), f"{part}/"))
     base, change = (merge(runs[tree]) for tree in TREES)
     check_digests(base, change)
     return {

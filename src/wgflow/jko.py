@@ -349,10 +349,12 @@ def jko_step(
     W: Potential,
     prev: QuantileGrid,
     cfg: JkoConfig,
-    cert: ConvexityCertificate | None = None,
     record: StepRecord | None = None,
 ) -> QuantileGrid:
     """One implicit step from ``prev``.
+
+    Refuses a potential that is not ``jko_eligible``, and a ``tau`` that
+    breaks the step bound of W's own certificate (``convexity_certificate``).
 
     Minimizes the penalized energy over the monotone cone by projected
     Newton.  At each iterate ``x`` the projected-gradient point
@@ -385,10 +387,7 @@ def jko_step(
     n = prev.n
     if cfg.n != n:
         raise DomainError(f"config grid size {cfg.n} does not match state size {n}")
-    radius = max(1.0, 2.0 * float(np.max(np.abs(prev.values))) + 1.0)
-    if cert is None:
-        cert = convexity_certificate(W, radius=radius)
-    cfg.validate_step_bound(cert)
+    cfg.validate_step_bound(convexity_certificate(W))
 
     tau = cfg.tau
     x_prev = prev.values
@@ -403,6 +402,7 @@ def jko_step(
         e, f = pair_energy_force(W, x, m, cone=True) if ef is None else ef
         return (e, f), 0.5 * float(d @ d) / tau + n * e, d / tau + f
 
+    radius = max(1.0, 2.0 * float(np.max(np.abs(x_prev))) + 1.0)
     alpha0 = 1.0 / (1.0 / tau + 2.0 * curvature_bound(W, radius))
     curved = W.beta != 0.0 or any(c != 0.0 for c, _ in W.terms)
     handed = record is not None and record.grid is prev and record.W is W
@@ -460,13 +460,10 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     One ``StepRecord`` goes through every step, so each step starts from the
     pair energy and force its predecessor computed at the grid it returned.
     Each state is spilled to a temporary file as it is made (``_spill``), so
-    the run holds no array of all its states.
-    The certificate is taken once at the default radius of 10 whatever the
-    support: for a potential the scheme accepts it does not depend on the
-    radius (see ``convexity_certificate``).
+    the run holds no array of all its states.  The step bound is checked
+    before the first state is made, and again by every step.
     """
-    cert = convexity_certificate(W)
-    cfg.validate_step_bound(cert)
+    cfg.validate_step_bound(convexity_certificate(W))
     steps = cfg.step_count()
 
     def states():
@@ -475,7 +472,7 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
         record = StepRecord()
         for k in range(steps):
             try:
-                state = jko_step(W, state, cfg, cert, record)
+                state = jko_step(W, state, cfg, record)
             except ConvergenceFailure as failure:
                 failure.step_index = k
                 raise

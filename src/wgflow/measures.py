@@ -63,13 +63,6 @@ def finite_number(value, name: str) -> float:
     return number
 
 
-def _as_float(x) -> float:
-    v = float(x)
-    if not np.isfinite(v):
-        raise DomainError(f"non-finite value {x!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class Measure1D:
     """A probability measure: point masses plus uniform segments.
@@ -78,15 +71,25 @@ class Measure1D:
     of ``(left, right, mass)`` triples carrying uniform density
     ``mass / (right - left)``.  Atoms may sit inside pieces and positions may
     repeat; contributions add.  Total mass must be 1 within ``MASS_TOL``.
+    Each value must be a finite number (``finite_number``, named as in
+    ``atom 0 position`` or ``piece 1 mass``).
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     pieces: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        atoms = tuple((_as_float(x), _as_float(m)) for x, m in self.atoms)
+        atoms = tuple(
+            (finite_number(x, f"atom {k} position"), finite_number(m, f"atom {k} mass"))
+            for k, (x, m) in enumerate(self.atoms)
+        )
         pieces = tuple(
-            (_as_float(l), _as_float(r), _as_float(m)) for l, r, m in self.pieces
+            (
+                finite_number(l, f"piece {k} left"),
+                finite_number(r, f"piece {k} right"),
+                finite_number(m, f"piece {k} mass"),
+            )
+            for k, (l, r, m) in enumerate(self.pieces)
         )
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)

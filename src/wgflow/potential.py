@@ -337,51 +337,45 @@ def curvature_bound(W: Potential, radius: float) -> float:
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
-    """Constants making W(x) + (lambda_second/2) x^2 + lambda_prime |x| convex.
+    """Constants making W(x) + (lambda_second/2) x^2 + lambda_prime |x| convex
+    on the whole line (see ``convexity_certificate``).
 
     ``lambda_minus = max(0, lambda_prime, lambda_second)`` feeds the implicit
-    scheme's step restriction; the potential is convex so compensated on
-    ``[-radius, radius]`` (see ``convexity_certificate``).
+    scheme's step restriction.
     """
 
     lambda_prime: float
     lambda_second: float
-    radius: float
 
     @property
     def lambda_minus(self) -> float:
         return max(0.0, self.lambda_prime, self.lambda_second)
 
 
-def convexity_certificate(W: Potential, radius: float = 10.0) -> ConvexityCertificate:
-    """Conservative closed-form certificate, convex by construction.
+def convexity_certificate(W: Potential) -> ConvexityCertificate:
+    """Closed-form certificate, convex on the whole line by construction.
 
     lambda_prime absorbs a negative cusp; lambda_second absorbs negative
-    quadratic curvature from beta and from negative-coefficient power terms
-    evaluated at the working radius.  A negative term with ``1 < p < 2`` is
-    refused: its curvature ``c p (p-1) |x|^(p-2)`` is unbounded below at 0,
-    so no finite constants exist.  Every potential let through is convex
-    once compensated, term by term, on ``[-radius, radius]``: the cusp's
-    coefficient becomes ``eta + max(0, -eta) >= 0``; the quadratic's
-    ``beta + max(0, -beta) >= 0``; a negative term, with ``p >= 2``, has
-    curvature at least ``-|c| p (p-1) r^(p-2)`` there, which
-    ``lambda_second`` covers; positive terms are convex.  So no sampled
-    check is needed (``tests/oracles.py`` keeps one as a property test).
-
-    For every potential the implicit scheme accepts, lambda_prime and
-    lambda_second do not depend on ``radius``: ``jko_eligible`` rules out
-    p > 2 and negative terms with p < 2 are refused, so a negative term has
-    p = 2, where ``r**(p - 2) = 1``.
+    curvature from beta and from negative-coefficient power terms.  A
+    negative term is refused unless p = 2: its curvature
+    ``c p (p-1) |x|^(p-2)`` is unbounded below at 0 for p < 2 and at
+    infinity for p > 2, so no finite constants exist.  Every potential let
+    through is convex once compensated, term by term: the cusp's coefficient
+    becomes ``eta + max(0, -eta) >= 0``; the quadratic's
+    ``beta + max(0, -beta) >= 0``; a negative term, with p = 2, has
+    curvature ``2c``, which ``lambda_second`` covers; positive terms are
+    convex.  So no sampled check is needed (``tests/oracles.py`` keeps one as
+    a property test).
     """
-    r = max(float(radius), 1.0)
     lam_prime = max(0.0, -W.eta)
     lam_second = max(0.0, -W.beta)
     for c, p in W.terms:
-        if c < 0.0 and p < 2.0:
+        if c < 0.0 and p != 2.0:
+            side, end = ("below", "the origin") if p < 2.0 else ("above", "infinity")
             raise DomainError(
-                f"term {c}*|x|^{p}: a negative power below 2 is concave without "
-                "bound at the origin; no convexity certificate exists"
+                f"term {c}*|x|^{p}: a negative power {side} 2 is concave without "
+                f"bound at {end}; no convexity certificate exists"
             )
         if c < 0.0:
-            lam_second += -c * p * (p - 1.0) * r ** (p - 2.0)
-    return ConvexityCertificate(lam_prime, lam_second, r)
+            lam_second += -2.0 * c
+    return ConvexityCertificate(lam_prime, lam_second)

@@ -122,12 +122,12 @@ class TransportPlan:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "objective", float(self.objective))
 
-    def check(self, inst: DiscreteInstance, tol: float = MARGINAL_TOL):
-        if np.max(np.abs(self.x.sum(axis=1) - inst.source_masses)) > tol:
+    def check(self, inst: DiscreteInstance):
+        if np.max(np.abs(self.x.sum(axis=1) - inst.source_masses)) > MARGINAL_TOL:
             raise DomainError("plan row sums do not match source masses")
-        if np.max(np.abs(self.x.sum(axis=0) - inst.sink_masses)) > tol:
+        if np.max(np.abs(self.x.sum(axis=0) - inst.sink_masses)) > MARGINAL_TOL:
             raise DomainError("plan column sums do not match sink masses")
-        if abs(float(np.sum(self.x * inst.cost)) - self.objective) > tol:
+        if abs(float(np.sum(self.x * inst.cost)) - self.objective) > MARGINAL_TOL:
             raise DomainError("plan objective is inconsistent with its matrix")
 
 
@@ -148,12 +148,12 @@ class DualSolution:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "objective", float(self.objective))
 
-    def check(self, inst: DiscreteInstance, tol: float = MARGINAL_TOL):
+    def check(self, inst: DiscreteInstance):
         slack = inst.cost - self.u[:, None] - self.v[None, :]
-        if np.min(slack) < -tol:
+        if np.min(slack) < -MARGINAL_TOL:
             raise DomainError("dual potentials violate u_i + v_j <= c_ij")
         obj = float(inst.source_masses @ self.u + inst.sink_masses @ self.v)
-        if abs(obj - self.objective) > tol:
+        if abs(obj - self.objective) > MARGINAL_TOL:
             raise DomainError("dual objective is inconsistent with its potentials")
 
 

@@ -200,13 +200,13 @@ def central_difference(f, x, h):
 # --- sampled midpoint convexity ---------------------------------------------
 
 
-def midpoint_convexity_violated(W, cert, samples=129):
+def midpoint_convexity_violated(W, cert, radius, samples=129):
     """Whether ``W(x) + (lambda_second/2) x^2 + lambda_prime |x|`` breaks
     midpoint convexity beyond rounding on ``samples`` equispaced points of
-    ``[-cert.radius, cert.radius]``, over spans of 2 to 32 steps."""
+    ``[-radius, radius]``, over spans of 2 to 32 steps."""
     from wgflow.potential import Potential, evaluate
 
-    xs = np.linspace(-cert.radius, cert.radius, samples)
+    xs = np.linspace(-radius, radius, samples)
     compensation = 0.5 * cert.lambda_second * xs**2 + cert.lambda_prime * np.abs(xs)
     f = evaluate(W, xs) + compensation
     # rounding in f grows with its summands, which may cancel to f = 0

@@ -156,11 +156,16 @@ def test_run_refuses_a_potential_value_that_is_not_a_finite_number(tmp_path, cap
             "diagnostics.evi_sigma",
             "atom",
         ),
+        ({"initial": {"atoms": [[True, 1.0]]}}, "initial", ""),
+        ({"initial": {"atoms": [[10**400, 1.0]]}}, "initial", ""),
+        ({"initial": {"atoms": [[0.0, "1"]]}}, "initial", ""),
+        ({"initial": {"pieces": [[-1.0, 1.0, "1"]]}}, "initial", ""),
     ],
 )
 def test_run_refuses_malformed_objects(tmp_path, capsys, patch, field, named):
-    """A non-object where an object belongs, or an unknown key, is refused
-    under the field that holds it, the message naming the key."""
+    """A non-object where an object belongs, an unknown key, or a measure
+    value that is not a finite number is refused under the field that holds
+    it; the message names an unknown key."""
     cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.01, **patch)
     out = tmp_path / "o"
     code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])

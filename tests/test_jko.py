@@ -1,6 +1,8 @@
 """Implicit stepping: projection, single steps, full flows, and identities."""
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -249,8 +251,8 @@ def test_step_invariants(W, values, shift):
     prev = QuantileGrid(np.sort(values))
     cert = convexity_certificate(W)
     cfg = JkoConfig(tau=0.05 / (1.0 + cert.lambda_minus), n=prev.n, t_end=1.0)
-    out = jko_step(W, prev, cfg, cert)
-    moved = jko_step(W, QuantileGrid(prev.values + shift), cfg, cert)
+    out = jko_step(W, prev, cfg)
+    moved = jko_step(W, QuantileGrid(prev.values + shift), cfg)
     scale = 1.0 + float(np.max(np.abs(prev.values)))
     assert np.all(np.diff(out.values) >= 0.0)
     assert abs(np.mean(out.values) - np.mean(prev.values)) <= 1e-12 * scale
@@ -457,7 +459,7 @@ def _certifiable_potential(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_certifiable_potential(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
-@example(  # summands near 1e6 at radius 1e3 cancel to a compensated potential of 0
+@example(  # every term negative, compensated to a potential of 0
     Potential(eta=-1.8785988224635535, beta=-1.5084315911799626,
               terms=((-0.9047296015725295, 2.0), (-0.4973501602901442, 2.0),
                      (-1.255629454869592, 2.0))),
@@ -475,21 +477,17 @@ def _certifiable_potential(draw):
     Potential(eta=-1.0, terms=((1.0, 1.03125),)),
     [0.0, 1.0, 2.2250738585072014e-308],
 )
-def test_certificate_does_not_depend_on_radius(W, values):
-    # a negative term has p = 2, where r**(p - 2) = 1, so the radius drops out
-    certs = [convexity_certificate(W, radius=r) for r in (1.0, 10.0, 1e3)]
-    assert len({(c.lambda_prime, c.lambda_second) for c in certs}) == 1
+def test_step_on_a_certifiable_potential_returns_or_fails_cleanly(W, values):
+    """A step under the bound of W's certificate returns a grid or raises
+    ``ConvergenceFailure``, and warns of nothing on the way."""
     prev = QuantileGrid(np.sort(values))
-    cfg = JkoConfig(tau=0.05 / (1.0 + certs[0].lambda_minus), n=prev.n, t_end=1.0)
-
-    def outcome(cert):
+    cfg = JkoConfig(tau=0.05 / (1.0 + convexity_certificate(W).lambda_minus), n=prev.n, t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            return jko_step(W, prev, cfg, cert).values.tobytes()
-        except ConvergenceFailure as failure:  # slow inner convergence near p -> 1
-            return failure.last.values.tobytes(), failure.residual
-
-    # a state-sized certificate and run_flow's radius-10 one give one step
-    assert outcome(None) == outcome(convexity_certificate(W))
+            jko_step(W, prev, cfg)
+        except ConvergenceFailure:  # slow inner convergence near p -> 1
+            pass
 
 
 # float.hex of the row-wise diagnostics of a small cusp-plus-power flow.
@@ -643,7 +641,7 @@ def test_run_flow_equals_steps_taken_without_a_record(name):
     state = to_quantile_grid(init, cfg.n)
     grids = [state.values]
     for _ in range(cfg.step_count()):
-        state = jko_step(W, state, cfg, convexity_certificate(W))
+        state = jko_step(W, state, cfg)
         grids.append(state.values)
     grids = np.array(grids)
     alone = _trajectory(W, traj.times, lambda lo, hi: grids[lo:hi], cfg.n)
@@ -722,6 +720,7 @@ def _open_fds() -> int:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_spill_file_closes_with_its_trajectory_or_on_failure(monkeypatch):
+    gc.collect()  # spill files of earlier tests' trajectories still waiting to be collected
     before = _open_fds()
     traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
     assert _open_fds() == before + 1

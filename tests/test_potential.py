@@ -223,6 +223,13 @@ def test_certificate_refuses_negative_subquadratic_power():
         convexity_certificate(Potential(beta=0.5, terms=((-0.1, 1.5),)))
 
 
+def test_certificate_refuses_negative_superquadratic_power():
+    # -|x|^3 has curvature -6|x|, unbounded below at infinity: no radius-free
+    # lambda'' exists, although every bounded interval has one
+    with pytest.raises(DomainError, match=r"term -1\.0\*\|x\|\^3\.0"):
+        convexity_certificate(Potential(beta=0.5, terms=((0.25, 1.5), (-1.0, 3.0))))
+
+
 _coef = st.floats(-2.0, 2.0)
 
 
@@ -235,21 +242,21 @@ _coef = st.floats(-2.0, 2.0)
 )
 def test_every_certified_potential_is_midpoint_convex_on_a_sample(eta, beta, terms, radius):
     """The certificate is closed form; the sampled check that once ran after
-    it holds for every potential it accepts, and it refuses only negative
-    powers below 2."""
+    it holds on every sampled interval for every potential it accepts, and
+    it refuses only negative powers other than 2."""
     W = Potential(eta, beta, tuple(terms))
     try:
-        cert = convexity_certificate(W, radius)
+        cert = convexity_certificate(W)
     except DomainError:
-        assert any(c < 0.0 and p < 2.0 for c, p in W.terms)
+        assert any(c < 0.0 and p != 2.0 for c, p in W.terms)
         return
-    assert not midpoint_convexity_violated(W, cert)
+    assert not midpoint_convexity_violated(W, cert, radius)
 
 
 def test_midpoint_convexity_oracle_sees_a_short_compensation():
-    assert midpoint_convexity_violated(Potential(eta=-1.0), ConvexityCertificate(0.5, 0.0, 10.0))
-    assert midpoint_convexity_violated(Potential(beta=-0.5), ConvexityCertificate(0.0, 0.25, 10.0))
-    assert midpoint_convexity_violated(Potential(terms=((-1.0, 3.0),)), ConvexityCertificate(0.0, 50.0, 10.0))
+    assert midpoint_convexity_violated(Potential(eta=-1.0), ConvexityCertificate(0.5, 0.0), 10.0)
+    assert midpoint_convexity_violated(Potential(beta=-0.5), ConvexityCertificate(0.0, 0.25), 10.0)
+    assert midpoint_convexity_violated(Potential(terms=((-1.0, 3.0),)), ConvexityCertificate(0.0, 50.0), 10.0)
 
 
 @st.composite

@@ -3,13 +3,15 @@
 Each step minimizes ``(1/(2 tau n)) ||X - X_prev||^2 + E(X)`` over the cone
 of nondecreasing grids, where E is the grid interaction energy with its cusp
 replaced by the exact linear form it takes on the cone.  The inner problem is
-smooth and strongly convex for every admissible step size, and is solved by
-projected Newton (Bertsekas 1982): the face of the cone is read off the ties
-of the pool-adjacent-violators projection of a gradient step, the Newton
-system on that face is solved matrix-free by conjugate gradients, and a
-trial that does not decrease the objective falls back to a projected-gradient
-step with backtracking.  A step is returned at the iterate where its
-prox-gradient residual was measured and met the tolerance.
+smooth and strongly convex for every admissible step size.  Without a power
+term (``p = 2`` terms join the quadratic) it is a scaled squared distance
+on the cone, and the step is one pool-adjacent-violators projection.  With
+one it is solved by projected Newton (Bertsekas 1982): the face of the cone
+is read off the ties of the pool-adjacent-violators projection of a gradient
+step, the Newton system on that face is solved matrix-free by conjugate
+gradients, and a trial that does not decrease the objective falls back to a
+projected-gradient step with backtracking.  Such a step is returned at the
+iterate where its prox-gradient residual was measured and met the tolerance.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from .measures import (
 from .potential import (
     ConvexityCertificate,
     Potential,
+    _split,
     convexity_certificate,
     curvature_bound,
     interaction_energy,
     pair_energy,
     pair_energy_force,
+    pair_force,
     pair_hessian,
 )
 
@@ -84,7 +88,9 @@ class JkoConfig:
     """Scheme parameters: step size, grid size, horizon, inner stopping rule.
 
     ``inner_tol`` bounds the proximal-gradient norm of the (n-scaled) inner
-    objective and defaults to ``INNER_TOL_PER_POINT * n``.
+    objective and defaults to ``INNER_TOL_PER_POINT * n``.  It and
+    ``inner_max_iters`` only act on a step with a power term: any other step
+    is one projection (``jko_step``).
     """
 
     tau: float
@@ -332,53 +338,35 @@ def _newton_point(W: Potential, x: np.ndarray, g: np.ndarray, y: np.ndarray, tau
     return _pava(np.repeat(xb - e, sizes))
 
 
-class StepRecord:
-    """What one implicit step hands to the next: the ``grid`` it returned,
-    the potential ``W`` it stepped under, and the pair ``energy`` and cone
-    ``force`` (``pair_energy_force(W, grid.values, m, cone=True)``) at that
-    grid.  ``jko_step`` fills it on return and starts from it when it is
-    handed the same ``W`` and, as ``prev``, the same grid object."""
-
-    __slots__ = ("W", "grid", "energy", "force")
-
-    def __init__(self):
-        self.W = self.grid = self.energy = self.force = None
-
-
-def jko_step(
-    W: Potential,
-    prev: QuantileGrid,
-    cfg: JkoConfig,
-    record: StepRecord | None = None,
-) -> QuantileGrid:
+def jko_step(W: Potential, prev: QuantileGrid, cfg: JkoConfig) -> QuantileGrid:
     """One implicit step from ``prev``.
 
     Refuses a potential that is not ``jko_eligible``, and a ``tau`` that
     breaks the step bound of W's own certificate (``convexity_certificate``).
 
-    Minimizes the penalized energy over the monotone cone by projected
-    Newton.  At each iterate ``x`` the projected-gradient point
-    ``y = P(x - alpha0 g)`` is formed with the curvature-informed step
-    ``alpha0``; ``x`` is returned once ``|y - x| / alpha0 <= inner_tol``, so
-    the stopping rule holds at the returned grid itself.  Otherwise a Newton
-    trial on the face of the cone that ``y``'s ties mark (``_newton_point``)
-    is taken if it does not increase the objective, and a projected-gradient
-    step with backtracking from ``alpha0`` if it does.  Every trial, Newton
-    or backtracking, takes its objective and gradient from one pass over the
-    pairs (``pair_energy_force``); an iteration with no Newton trial
-    (``_newton_point`` gives ``None``) takes the projected-gradient step.
-    Without curvature (no power terms, ``beta = 0``) ``y`` is the Newton
-    point, so the step goes straight to the projected-gradient test.  The
-    output never increases the objective relative to ``prev``; a step whose
-    backtracking finds no sufficient decrease raises ``ConvergenceFailure``
-    instead of being accepted.
+    A potential with no power term once ``p = 2`` terms are folded into its
+    quadratic coefficient ``beta`` (``potential._split``) takes one
+    projection.  Where the mean is that of ``x_prev``, the n-scaled
+    objective on the cone is ``((1/tau + beta)/2) |x - z|^2`` plus a
+    constant, with ``z = x_prev - alpha f``, ``alpha = 1/(1/tau + beta)``
+    and ``f`` the cone force at ``x_prev``.  The minimiser keeps the mean,
+    and so does ``P(z)``, so ``P(z)`` is the step.  The step bound makes
+    ``1/tau + beta >= 11/(12 tau) > 0``.
 
-    Given a ``record`` whose ``grid`` is ``prev`` and whose ``W`` is ``W``,
-    the step starts from the record's energy and force instead of computing
-    them again; any other record is ignored.  On return the record holds the
-    returned grid with its energy and force, so the next step from that grid
-    starts from them (``run_flow``).  The outputs are the same bit for bit
-    with a record or without one.
+    Any other potential is stepped by projected Newton.  At each iterate
+    ``x`` the projected-gradient point ``y = P(x - alpha0 g)`` is formed
+    with the curvature-informed step ``alpha0``; ``x`` is returned once
+    ``|y - x| / alpha0 <= inner_tol``, so the stopping rule holds at the
+    returned grid itself.  Otherwise a Newton trial on the face of the cone
+    that ``y``'s ties mark (``_newton_point``) is taken if it does not
+    increase the objective, and a projected-gradient step with backtracking
+    from ``alpha0`` if it does.  Every trial, Newton or backtracking, takes
+    its objective and gradient from one pass over the pairs
+    (``pair_energy_force``); an iteration with no Newton trial
+    (``_newton_point`` gives ``None``) takes the projected-gradient step.
+    The output never increases the objective relative to ``prev``; a step
+    whose backtracking finds no sufficient decrease raises
+    ``ConvergenceFailure`` instead of being accepted.
     """
     if not W.jko_eligible:
         raise DomainError(
@@ -392,36 +380,34 @@ def jko_step(
     tau = cfg.tau
     x_prev = prev.values
     m = np.full(n, 1.0 / n)
+    beta, terms = _split(W)
+    if not terms:
+        alpha = 1.0 / (1.0 / tau + beta)
+        return QuantileGrid(_pava(x_prev - alpha * pair_force(W, x_prev, m, cone=True)))
 
     # objective scaled by n: G(x) = ||x - x_prev||^2 / (2 tau) + n E(x); the
-    # cone gradient of n E is n * m * force = force.  A trial gives the pair
-    # energy and force at x (``ef``, computed unless given), and G and its
-    # gradient there.
-    def trial(x, ef=None):
+    # cone gradient of n E is n * m * force = force.  A trial gives G and its
+    # gradient at x.
+    def trial(x):
         d = x - x_prev
-        e, f = pair_energy_force(W, x, m, cone=True) if ef is None else ef
-        return (e, f), 0.5 * float(d @ d) / tau + n * e, d / tau + f
+        e, f = pair_energy_force(W, x, m, cone=True)
+        return 0.5 * float(d @ d) / tau + n * e, d / tau + f
 
     radius = max(1.0, 2.0 * float(np.max(np.abs(x_prev))) + 1.0)
     alpha0 = 1.0 / (1.0 / tau + 2.0 * curvature_bound(W, radius))
-    curved = W.beta != 0.0 or any(c != 0.0 for c, _ in W.terms)
-    handed = record is not None and record.grid is prev and record.W is W
     x = x_prev.copy()
-    ef, fx, g = trial(x, (record.energy, record.force) if handed else None)
+    fx, g = trial(x)
     residuals: list[float] = []
     for _ in range(cfg.inner_max_iters):
         y = _pava(x - alpha0 * g)
         residuals.append(float(np.linalg.norm(y - x)) / alpha0)
         if residuals[-1] <= cfg.inner_tol:
-            out = QuantileGrid(x)
-            if record is not None:
-                record.W, record.grid, (record.energy, record.force) = W, out, ef
-            return out
-        z = _newton_point(W, x, g, y, tau) if curved else None
+            return QuantileGrid(x)
+        z = _newton_point(W, x, g, y, tau)
         if z is not None:
-            ez, fz, gz = trial(z)
+            fz, gz = trial(z)
             if fz <= fx + 1e-12 * (1.0 + abs(fx)):
-                x, ef, fx, g = z, ez, fz, gz
+                x, fx, g = z, fz, gz
                 continue
         alpha = alpha0
         for halving in range(BACKTRACK_HALVINGS):
@@ -429,7 +415,7 @@ def jko_step(
                 alpha *= 0.5
                 y = _pava(x - alpha * g)
             dy = y - x
-            ey, fy, gy = trial(y)
+            fy, gy = trial(y)
             model = fx + float(g @ dy) + 0.5 * float(dy @ dy) / alpha
             if fy <= model + 1e-12 * (1.0 + abs(fx)):
                 break
@@ -442,7 +428,7 @@ def jko_step(
                 residual=residuals[-1] if len(residuals) > 1 else math.inf,
                 residuals=residuals,
             )
-        x, ef, fx, g = y, ey, fy, gy
+        x, fx, g = y, fy, gy
     raise ConvergenceFailure(
         f"inner solver stopped after {cfg.inner_max_iters} iterations "
         f"with residual {residuals[-1]:.3e} > {cfg.inner_tol:.3e}",
@@ -457,8 +443,6 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
 
     Records the energy of every state and the squared step distances; a
     convergence failure is re-raised with the offending step index attached.
-    One ``StepRecord`` goes through every step, so each step starts from the
-    pair energy and force its predecessor computed at the grid it returned.
     Each state is spilled to a temporary file as it is made (``_spill``), so
     the run holds no array of all its states.  The step bound is checked
     before the first state is made, and again by every step.
@@ -469,10 +453,9 @@ def run_flow(W: Potential, init: Measure1D, cfg: JkoConfig) -> FlowTrajectory:
     def states():
         state = to_quantile_grid(init, cfg.n)
         yield state.values
-        record = StepRecord()
         for k in range(steps):
             try:
-                state = jko_step(W, state, cfg, record)
+                state = jko_step(W, state, cfg)
             except ConvergenceFailure as failure:
                 failure.step_index = k
                 raise

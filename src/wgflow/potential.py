@@ -152,12 +152,13 @@ def _power(d: np.ndarray, e: float, out: np.ndarray):
 
 def _split(W: Potential) -> tuple[float, tuple[tuple[float, float], ...]]:
     """W's quadratic coefficient with each p = 2 term folded in, since
-    ``c|x|^2`` is ``(2c/2) x^2``, and W's other power terms."""
+    ``c|x|^2`` is ``(2c/2) x^2``, and W's other power terms with ``c != 0``:
+    a term that adds 0 takes no pass over the pairs."""
     beta = W.beta
     for c, p in W.terms:
         if p == 2.0:
             beta += 2.0 * c
-    return beta, tuple((c, p) for c, p in W.terms if p != 2.0)
+    return beta, tuple((c, p) for c, p in W.terms if p != 2.0 and c != 0.0)
 
 
 def _tie_signs(x: np.ndarray, cum: np.ndarray) -> np.ndarray:

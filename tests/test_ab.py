@@ -94,6 +94,16 @@ def test_both_trees_are_measured_through_paths_of_equal_length(monkeypatch, tmp_
     assert report["speedup"]["power/x_s"]["median"] == 1.0
 
 
+def test_counting_restores_the_module_and_counts_an_unbound_name_as_0():
+    module = types.SimpleNamespace(f=lambda x: x + 1)
+    f = module.f
+    with ab.counting(module, ("f", "missing")) as calls:
+        assert module.f(1) == 2 and module.f(2) == 3
+        assert not hasattr(module, "missing")
+    assert calls == {"f": 2, "missing": 0}
+    assert module.f is f and not hasattr(module, "missing")
+
+
 def test_help_lists_the_six_groups(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["ab.py", "--help"])
     with pytest.raises(SystemExit) as stop:

@@ -23,6 +23,10 @@ REPULSIVE_DIRAC_RUN = {
 }
 
 
+# the cusp with a power term: only such a run takes the inner solver, and can exit 3
+POWER_POTENTIAL = {"eta": -1.0, "beta": 0.0, "terms": [[1.0, 1.5]]}
+
+
 def _write(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -453,7 +457,7 @@ def test_ot_refuses_a_plan_path_it_cannot_write(tmp_path, capsys):
 
 def test_run_solver_failure_exit_code(tmp_path, capsys):
     cfg = {
-        "potential": {"beta": 1.0},
+        "potential": POWER_POTENTIAL,
         "initial": {"pieces": [[-1.0, 1.0, 1.0]]},
         "method": "jko",
         "tau": 1e-2,
@@ -477,13 +481,14 @@ def test_run_backtracking_failure_record_is_json(tmp_path, capsys, monkeypatch):
     import wgflow.jko as jko
     from wgflow.potential import pair_force
 
-    # every energy after the first, at the starting grid, is larger, so no
-    # backtracking trial passes; each trial takes energy and force together
+    # every energy after the first, at the starting grid, is larger, so
+    # neither the Newton trial nor any backtracking trial passes; each trial
+    # takes energy and force together
     calls = itertools.count()
     monkeypatch.setattr(
         jko, "pair_energy_force", lambda W, x, m, cone: (float(next(calls)), pair_force(W, x, m, cone))
     )
-    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004)
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004, potential=POWER_POTENTIAL)
     code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err.strip()
@@ -504,7 +509,7 @@ def test_run_failure_record_writes_nonfinite_residuals_as_null(tmp_path, capsys,
     monkeypatch.setattr(
         jko, "pair_energy_force", lambda W, x, m, cone: (pair_energy(W, x, m), np.full(x.size, np.nan))
     )
-    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004)
+    cfg = dict(REPULSIVE_DIRAC_RUN, t_end=0.004, potential=POWER_POTENTIAL)
     code = main(["run", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err.strip()

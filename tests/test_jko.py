@@ -34,13 +34,14 @@ from wgflow import (
     weak_residual,
 )
 from oracles import lattice_isotonic
-from wgflow.jko import StepRecord
 from wgflow.measures import _row_w2sq
 from wgflow.potential import curvature_bound, evaluate, pair_energy, pair_energy_force
 
 REPULSIVE = Potential(eta=-1.0)
 ATTRACTIVE = Potential(eta=1.0)
 QUADRATIC = Potential(beta=1.0)
+# the cusp with a power term: its steps take the inner solver
+POWER = Potential(eta=-1.0, terms=((1.0, 1.5),))
 
 
 def _nodes(n):
@@ -261,6 +262,59 @@ def test_step_invariants(W, values, shift):
     assert np.max(np.abs(moved.values - shift - out.values)) <= 1e-9 * (scale + abs(shift))
 
 
+@st.composite
+def _power_free_step(draw):
+    """A potential with no power term once p = 2 terms join the quadratic:
+    a cusp of either sign, any beta and p = 2 terms of either sign; and a
+    tau within the step bound of its certificate, up to the bound itself
+    where ``lambda_minus >= 1/4`` (a tinier one would allow a vast tau)."""
+    coef = st.floats(-2.0, 2.0)
+    terms = draw(st.lists(st.tuples(coef, st.just(2.0)), max_size=2))
+    W = Potential(eta=draw(coef), beta=draw(coef), terms=tuple(terms))
+    lam = convexity_certificate(W).lambda_minus
+    return W, draw(st.floats(0.05, 1.0)) / (12.0 * max(lam, 0.25))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _power_free_step(),
+    st.lists(st.integers(-24, 24).map(lambda k: k / 8.0), min_size=1, max_size=12),
+)
+@example((Potential(eta=1.0, beta=-1.0), 1.0 / 12.0), [0.0, 0.0, 0.5, 0.5, 0.5])
+def test_power_free_step_is_one_projection(case, values):
+    """Without a power term the step meets the stopping rule, keeps the
+    mean and is ``c + P(((x_prev - c)/tau - eta r/n)/(1/tau + beta))``,
+    with ``c`` the mean, ``r_i = 2i + 1 - n`` and beta with p = 2 folded in."""
+    W, tau = case
+    prev = QuantileGrid(np.sort(values))
+    n = prev.n
+    cfg = JkoConfig(tau=tau, n=n, t_end=1.0)
+    out = jko_step(W, prev, cfg)
+    scale = 1.0 + float(np.max(np.abs(prev.values)))
+    assert _prox_residual(W, prev, out, tau) <= cfg.inner_tol
+    c = float(np.mean(prev.values))
+    assert abs(np.mean(out.values) - c) <= 1e-12 * scale
+    beta = W.beta + sum(2.0 * k for k, _ in W.terms)
+    r = 2.0 * np.arange(n) + 1.0 - n
+    want = c + isotonic_project(((prev.values - c) / tau - W.eta * r / n) / (1.0 / tau + beta)).values
+    assert np.max(np.abs(out.values - want)) <= 1e-12 * scale
+
+
+def test_a_zero_power_term_changes_nothing():
+    from wgflow import ParticleState, integrate
+
+    zero, bare = Potential(eta=-1.0, terms=((0.0, 1.5),)), Potential(eta=-1.0)
+    prev = to_quantile_grid(Measure1D(atoms=((-0.5, 0.5), (0.7, 0.5))), 40)
+    cfg = JkoConfig(tau=0.01, n=40, t_end=1.0)
+    assert np.array_equal(jko_step(zero, prev, cfg).values, jko_step(bare, prev, cfg).values)
+    st0 = ParticleState([-1.0, 0.0, 0.0, 1.0], [0.25] * 4)
+    ours, theirs = integrate(zero, st0, 0.5, 0.01), integrate(bare, st0, 0.5, 0.01)
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.time == b.time
+        assert np.array_equal(a.positions, b.positions) and np.array_equal(a.masses, b.masses)
+
+
 def test_step_converges_on_near_linear_power_from_tie():
     # a positive power with p near 1 has curvature unbounded at ties
     W = Potential(eta=-1.0, terms=((2.0, 1.125),))
@@ -273,7 +327,7 @@ def test_step_converges_on_near_linear_power_from_tie():
 
 @pytest.mark.parametrize(
     "W",
-    [REPULSIVE, Potential(eta=-1.0, beta=1.0), Potential(eta=-1.0, terms=((1.0, 1.5),))],
+    [REPULSIVE, Potential(eta=-1.0, beta=1.0), POWER],
     ids=["cusp", "cusp_quadratic", "power"],
 )
 def test_step_output_meets_stopping_rule(W):
@@ -288,16 +342,20 @@ def test_step_output_meets_stopping_rule(W):
         cfg = JkoConfig(tau=tau, n=prev.n, t_end=1.0)
         out = jko_step(W, prev, cfg)
         assert _prox_residual(W, prev, out, tau) <= cfg.inner_tol
-        # the check is made at the grid returned: under a tolerance that
-        # prev already meets, prev comes back unmoved
         loose = JkoConfig(tau=tau, n=prev.n, t_end=1.0, inner_tol=1e300)
-        assert np.array_equal(jko_step(W, prev, loose).values, prev.values)
+        if W.terms:
+            # the check is made at the grid returned: under a tolerance that
+            # prev already meets, prev comes back unmoved
+            assert np.array_equal(jko_step(W, prev, loose).values, prev.values)
+        else:
+            # one projection, which no tolerance moves
+            assert np.array_equal(jko_step(W, prev, loose).values, out.values)
 
 
 def test_convergence_failure_carries_state():
     cfg = JkoConfig(tau=0.01, n=16, t_end=1.0, inner_max_iters=1, inner_tol=1e-16)
     with pytest.raises(ConvergenceFailure) as info:
-        jko_step(QUADRATIC, to_quantile_grid(Measure1D.uniform(-1, 1), 16), cfg)
+        jko_step(POWER, to_quantile_grid(Measure1D.uniform(-1, 1), 16), cfg)
     assert info.value.last.n == 16
     assert info.value.residual > 0
     assert info.value.residuals == (info.value.residual,)  # one per iteration
@@ -310,8 +368,9 @@ def test_backtracking_failure_raises(monkeypatch):
     import wgflow.jko as jko
     from wgflow.potential import pair_force
 
-    # every energy after the first, at the starting grid, is larger, so no
-    # backtracking trial passes; each trial takes energy and force together
+    # every energy after the first, at the starting grid, is larger, so
+    # neither the Newton trial nor any backtracking trial passes; each trial
+    # takes energy and force together
     calls = itertools.count()
     monkeypatch.setattr(
         jko, "pair_energy_force", lambda W, x, m, cone: (float(next(calls)), pair_force(W, x, m, cone))
@@ -319,8 +378,8 @@ def test_backtracking_failure_raises(monkeypatch):
     prev = to_quantile_grid(Measure1D.dirac(0.0), 16)
     cfg = JkoConfig(tau=0.01, n=16, t_end=1.0)
     with pytest.raises(ConvergenceFailure, match="backtracking") as info:
-        jko_step(REPULSIVE, prev, cfg)
-    assert next(calls) == 1 + jko.BACKTRACK_HALVINGS
+        jko_step(POWER, prev, cfg)
+    assert next(calls) == 2 + jko.BACKTRACK_HALVINGS
     assert info.value.last == prev
     assert info.value.residual == np.inf
 
@@ -612,18 +671,17 @@ def test_flow_trajectory_freezes_its_own_arrays_not_the_callers():
     ids=["cusp", "cusp_quadratic", "cusp_power"],
 )
 def test_run_flow_energies_are_the_pair_energies_of_its_grids(W):
-    # bit for bit: a step that hands its energy on must hand on this one
     init = Measure1D(atoms=((-0.5, 0.25), (0.25, 0.5), (0.5, 0.25)))
     traj = run_flow(W, init, JkoConfig(tau=0.01, n=24, t_end=0.1))
     m = np.full(24, 1.0 / 24)
     assert np.array_equal(traj.energies, pair_energy(W, traj.grids, m))
 
 
-# README config (no curvature: projected gradient only), the power workload's
-# |x|^1.5 (Newton trials) and cusp+quadratic, each on fewer steps
-HAND_OFF_RUNS = {
+# README config and cusp+quadratic (one projection per step) and the power
+# workload's |x|^1.5 (Newton trials), each on fewer steps
+FLOW_RUNS = {
     "readme": (REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=1e-3, n=200, t_end=0.1)),
-    "power": (Potential(eta=-1.0, terms=((1.0, 1.5),)), Measure1D.dirac(0.3), JkoConfig(tau=1e-2, n=100, t_end=0.05)),
+    "power": (POWER, Measure1D.dirac(0.3), JkoConfig(tau=1e-2, n=100, t_end=0.05)),
     "cusp_quadratic": (
         Potential(eta=-1.0, beta=1.0),
         Measure1D(atoms=((-0.4, 0.3), (0.6, 0.7))),
@@ -632,11 +690,11 @@ HAND_OFF_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HAND_OFF_RUNS))
+@pytest.mark.parametrize("name", sorted(FLOW_RUNS))
 def test_run_flow_equals_steps_taken_without_a_record(name):
     from wgflow.jko import _trajectory
 
-    W, init, cfg = HAND_OFF_RUNS[name]
+    W, init, cfg = FLOW_RUNS[name]
     traj = run_flow(W, init, cfg)
     state = to_quantile_grid(init, cfg.n)
     grids = [state.values]
@@ -656,27 +714,6 @@ def test_run_flow_equals_steps_taken_without_a_record(name):
     assert np.array_equal(traj.step_costs, alone.step_costs)
 
 
-@pytest.mark.parametrize("stale", ["grid", "potential"])
-def test_step_ignores_a_record_of_another_grid_or_potential(stale):
-    W = Potential(eta=-1.0, terms=((0.5, 1.5),))
-    cfg = JkoConfig(tau=0.01, n=24, t_end=1.0)
-    init = to_quantile_grid(Measure1D(atoms=((-0.5, 0.25), (0.25, 0.5), (0.5, 0.25))), 24)
-    record = StepRecord()
-    prev = jko_step(Potential(eta=-1.0, beta=1.0) if stale == "potential" else W, init, cfg, record=record)
-    if stale == "grid":
-        # equal values in another object; an energy and force that would
-        # move the step if it took them
-        prev = QuantileGrid(prev.values)
-        record.energy, record.force = 0.0, np.zeros(24)
-    alone = jko_step(W, prev, cfg)
-    out = jko_step(W, prev, cfg, record=record)
-    assert np.array_equal(out.values, alone.values)
-    # the record now hands on the returned grid
-    assert record.grid is out and record.W is W
-    energy, force = pair_energy_force(W, out.values, np.full(24, 1.0 / 24), cone=True)
-    assert record.energy == energy and np.array_equal(record.force, force)
-
-
 def _count_pair_passes(monkeypatch, energy=None):
     """Count ``jko``'s ``pair_energy_force`` calls; ``energy(k, e)`` may
     replace the energy of call ``k``."""
@@ -693,23 +730,26 @@ def _count_pair_passes(monkeypatch, energy=None):
     return calls
 
 
-def test_readme_flow_takes_one_pair_pass_per_step_and_one_more(monkeypatch):
+def test_readme_flow_makes_no_pair_energy_force_call(monkeypatch):
     calls = _count_pair_passes(monkeypatch)
-    cfg = JkoConfig(tau=1e-3, n=200, t_end=1.0)
-    run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
-    assert len(calls) == cfg.step_count() + 1
+    run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=1e-3, n=200, t_end=1.0))
+    assert calls == []
+
+
+# Steps 0..2 of POWER from a Dirac at n = 16 take calls 0..12 (five for the
+# first, four each after it); step 3 takes its starting pass at call 13, and
+# from call 14, its first trial, no energy is low enough to accept.
+FIRST_REFUSED_PASS = 14
 
 
 def test_run_flow_failure_carries_its_step_index(monkeypatch):
-    # steps 0..2 take calls 0..3 (two for the first, then one each); from
-    # call 4, step 3's first trial, no energy is low enough to accept
-    _count_pair_passes(monkeypatch, lambda k, e: e if k < 4 else 1e300)
+    _count_pair_passes(monkeypatch, lambda k, e: e if k < FIRST_REFUSED_PASS else 1e300)
     cfg = JkoConfig(tau=0.01, n=16, t_end=0.1)
     with pytest.raises(ConvergenceFailure, match="backtracking") as info:
-        run_flow(REPULSIVE, Measure1D.dirac(0.0), cfg)
+        run_flow(POWER, Measure1D.dirac(0.0), cfg)
     assert info.value.step_index == 3
     monkeypatch.undo()
-    before = run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.03))
+    before = run_flow(POWER, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.03))
     assert info.value.last == before.state(3)
     assert info.value.residual == np.inf
 
@@ -722,13 +762,13 @@ def _open_fds() -> int:
 def test_spill_file_closes_with_its_trajectory_or_on_failure(monkeypatch):
     gc.collect()  # spill files of earlier tests' trajectories still waiting to be collected
     before = _open_fds()
-    traj = run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
+    traj = run_flow(POWER, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
     assert _open_fds() == before + 1
     del traj
     assert _open_fds() == before
     # a failure mid-run closes the file before it propagates
-    _count_pair_passes(monkeypatch, lambda k, e: e if k < 4 else 1e300)
+    _count_pair_passes(monkeypatch, lambda k, e: e if k < FIRST_REFUSED_PASS else 1e300)
     with pytest.raises(ConvergenceFailure) as info:
-        run_flow(REPULSIVE, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
+        run_flow(POWER, Measure1D.dirac(0.0), JkoConfig(tau=0.01, n=16, t_end=0.1))
     assert info.value.step_index == 3
     assert _open_fds() == before

@@ -210,9 +210,10 @@ def _atoms(n: int):
 @contextlib.contextmanager
 def counting(module, names):
     """Count the calls made through each of ``names`` of ``module`` while
-    the block runs, in the dict it yields."""
+    the block runs, in the dict it yields; a name that ``module`` does not
+    bind counts 0, and stays unbound."""
     calls = dict.fromkeys(names, 0)
-    originals = {name: getattr(module, name) for name in names}
+    originals = {name: getattr(module, name) for name in names if hasattr(module, name)}
 
     def counted(name, fn):
         def wrapper(*a, **k):
@@ -507,7 +508,7 @@ def simplex(part: str) -> dict:
     }
 
 
-STEP_KERNELS = ("pair_energy_force", "pair_hessian", "pair_energy")
+STEP_KERNELS = ("pair_energy_force", "pair_force", "pair_hessian", "pair_energy")
 
 
 def step(part: str) -> dict:
@@ -519,7 +520,8 @@ def step(part: str) -> dict:
     the first ``run_flow`` call: ``minor_faults``, the minor page faults it
     takes, and ``maxrss_kib``, the interpreter's ``ru_maxrss`` after it.
     Then ``run_flow_s``, and ``calls``, how often one more call invokes each
-    kernel of ``STEP_KERNELS`` through the names ``wgflow.jko`` binds."""
+    kernel of ``STEP_KERNELS`` through the names ``wgflow.jko`` binds (0 for
+    a name it does not bind)."""
     import resource
 
     from wgflow import jko
